@@ -8,18 +8,20 @@ alpha(-q) for alpha in {kappa, xi}:
     zeta_{i,j} = sigma_{kappa,1} * zeta_{i-1,j} - sigma_{kappa,2} * zeta_{i-2,j}   (i >= 2)
     zeta_{i,j} = sigma_{xi,1}    * zeta_{i,j-1} - sigma_{xi,2}    * zeta_{i,j-2}   (j >= 2)
 
-On top of zeta sit two towers: lambda_poly(k) represents the slice
-gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and phi_poly(k) represents the internal
-difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n)) q^n.  Every
-polynomial here converts back to a q-series through poly_to_series for
-cross-validation against direct unitization.
+unitize(p, i) = U(kappa^i p(xi)) walks the rows zeta_{i,j} in j, two live at a
+time, from the columns zeta_{i,0}, zeta_{i,1}.  On top of it sit two towers:
+lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
+phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
+q^n.  Every polynomial here converts back to a q-series through poly_to_series
+for cross-validation against direct unitization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Union
 
 from .etaq import xi_series
 from .series import Series
@@ -207,53 +209,66 @@ def zeta_initial() -> dict[tuple[int, int], XiPoly]:
     }
 
 
-class ZetaTable:
-    """Memoized zeta_{i,j} builder.
+Row = tuple[int, tuple[int, ...]]  # (lowest degree, dense coefficients from there on)
 
-    Fill order follows the bootstrap the recurrences are derived for: the two
-    base columns j=0 and j=1 grow in i via the kappa recurrence, then each row
-    extends in j via the xi recurrence.  The kappa recurrence is never applied
-    at i < 2 nor the xi recurrence at j < 2.
 
-    Entries are immutable polynomials written once into a plain dict, so
-    concurrent readers can at worst duplicate a computation, never observe a
-    partial value.
+def _dense(p: XiPoly) -> Row:
+    return p.min_degree(), tuple(p.coeff(d) for d in range(p.min_degree(), p.degree() + 1))
+
+
+def _step(pair: SigmaPair, a: Row, b: Row) -> Row:
+    """sigma1 * a - sigma2 * b on dense rows, trimmed to its nonzero span."""
+    shifted = [(c, a[0] + e, a[1]) for e, c in pair.sigma1.terms()]
+    shifted += [(-c, b[0] + e, b[1]) for e, c in pair.sigma2.terms()]
+    low = min(s for _, s, _ in shifted)
+    high = max(s + len(r) for _, s, r in shifted)
+    pad = [(0,) * (s - low) + r + (0,) * (high - s - len(r)) for _, s, r in shifted]
+    # both sigma pairs have four terms in all, so one fused pass makes the step
+    c0, c1, c2, c3 = [c for c, _, _ in shifted]
+    out = [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 for x0, x1, x2, x3 in zip(*pad)]
+    nonzero = [t for t, x in enumerate(out) if x]
+    return (low + nonzero[0], tuple(out[nonzero[0] : nonzero[-1] + 1])) if nonzero else (low, ())
+
+
+def _walk(pair: SigmaPair, first: Row, second: Row) -> Iterator[Row]:
+    """Rows 0, 1, 2, ... of sigma1 * row_{n-1} - sigma2 * row_{n-2}, built on demand."""
+    b, a = first, second
+    yield b
+    while True:
+        yield a
+        b, a = a, _step(pair, a, b)
+
+
+@lru_cache(maxsize=4)
+def _columns(i: int) -> tuple[Row, Row]:
+    """zeta_{i,0} and zeta_{i,1}, walked up the kappa recurrence."""
+    init, kappa = zeta_initial(), _SIGMA["kappa"]
+    walks = (_walk(kappa, _dense(init[0, j]), _dense(init[1, j])) for j in (0, 1))
+    return tuple(next(islice(walk, i, None)) for walk in walks)
+
+
+def unitize(p: XiPoly, i: int) -> XiPoly:
+    """U(kappa^i p(xi)) = sum_j c_j zeta_{i,j} for p = sum_j c_j xi^j.
+
+    Walks the xi recurrence in j up from the cached columns zeta_{i,0} and
+    zeta_{i,1}, two rows live, adding each c_j * zeta_{i,j} into one dense list.
     """
-
-    def __init__(self):
-        self._memo: dict[tuple[int, int], XiPoly] = zeta_initial()
-
-    def get(self, i: int, j: int) -> XiPoly:
-        if i < 0 or j < 0:
-            raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
-        memo = self._memo
-        got = memo.get((i, j))
-        if got is not None:
-            return got
-        sk = _SIGMA["kappa"]
-        for jj in (0, 1):
-            ii = 2
-            while (ii, jj) in memo:
-                ii += 1
-            while ii <= i:
-                memo[(ii, jj)] = sk.sigma1 * memo[(ii - 1, jj)] - sk.sigma2 * memo[(ii - 2, jj)]
-                ii += 1
-        sx = _SIGMA["xi"]
-        jj = 2
-        while (i, jj) in memo:
-            jj += 1
-        while jj <= j:
-            memo[(i, jj)] = sx.sigma1 * memo[(i, jj - 1)] - sx.sigma2 * memo[(i, jj - 2)]
-            jj += 1
-        return memo[(i, j)]
-
-
-_TABLE = ZetaTable()
+    if p.is_zero:
+        return ZERO
+    acc: list[int] = []  # indexed by degree; the zeros below the lowest row cost no arithmetic
+    for j, (s, row) in zip(range(p.degree() + 1), _walk(_SIGMA["xi"], *_columns(i))):
+        c = p.coeff(j)
+        if c:
+            acc += [0] * (s + len(row) - len(acc))
+            acc[s : s + len(row)] = [x + c * y for x, y in zip(acc[s : s + len(row)], row)]
+    return XiPoly(enumerate(acc))
 
 
 def zeta(i: int, j: int) -> XiPoly:
     """U(kappa^i xi^j) as an exact polynomial in xi."""
-    return _TABLE.get(i, j)
+    if i < 0 or j < 0:
+        raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
+    return unitize(XiPoly.monomial(j), i)
 
 
 def zeta_combined(i: int, j: int) -> XiPoly:
@@ -276,16 +291,7 @@ def zeta_combined(i: int, j: int) -> XiPoly:
 def gamma6_poly() -> XiPoly:
     """gamma^6 as a degree-15 polynomial in xi (cross-checked at q-level by
     the identity suite)."""
-    return XiPoly(
-        {
-            10: 59049,
-            11: -262440,
-            12: 466560,
-            13: -414720,
-            14: 184320,
-            15: -32768,
-        }
-    )
+    return XiPoly({10: 59049, 11: -262440, 12: 466560, 13: -414720, 14: 184320, 15: -32768})
 
 
 @lru_cache(maxsize=None)
@@ -293,17 +299,13 @@ def lambda_poly(k: int) -> XiPoly:
     """The k-th dissection slice gamma^{2^{k-2}} sum PDO(2^k n) q^n in Z[xi].
 
     lambda_poly(2) = 3 xi^2 - 2 xi^3; each further level unitizes against
-    kappa^{2^{k-3}}, i.e. pushes every term through zeta.
+    kappa^{2^{k-3}}, i.e. pushes the whole polynomial through unitize.
     """
     if k < 2:
         raise ValueError(f"lambda tower starts at k=2, got {k}")
     if k == 2:
         return XiPoly({2: 3, 3: -2})
-    i = 2 ** (k - 3)
-    acc = ZERO
-    for deg, c in lambda_poly(k - 1).terms():
-        acc = acc + c * zeta(i, deg)
-    return acc
+    return unitize(lambda_poly(k - 1), 2 ** (k - 3))
 
 
 @lru_cache(maxsize=None)
@@ -319,11 +321,7 @@ def phi_poly(k: int) -> XiPoly:
         raise ValueError(f"phi tower starts at k=3, got {k}")
     if k == 3:
         return lambda_poly(5) - gamma6_poly() * lambda_poly(3)
-    i = 2 ** (k - 1)
-    acc = ZERO
-    for deg, c in phi_poly(k - 1).terms():
-        acc = acc + c * zeta(i, deg)
-    return acc
+    return unitize(phi_poly(k - 1), 2 ** (k - 1))
 
 
 def phi_poly_direct(k: int) -> XiPoly:

@@ -10,6 +10,7 @@ from pdocong import (
     d_min,
     nu2,
     phi_poly,
+    phi_poly_direct,
     profile,
     tau,
     zeta,
@@ -156,7 +157,16 @@ def test_check_f_profile_extended_range():
     report = check_f_profile(7, max_k=7)
     assert report.passed
     assert report.base_degree == tau(7) == 214
-    assert report.vals[0] == 9  # 2K+3 with K=3
+    assert report.vals[:3] == (9, 9, 10)  # 2K+3 with K=3 at tau
+    assert phi_poly(7) == phi_poly_direct(7)
+
+
+def test_check_f_profile_k9():
+    # about a second cold: the phi tower streams through unitize
+    report = check_f_profile(9, max_k=9)
+    assert report.passed
+    assert report.base_degree == tau(9) == 854
+    assert report.vals[:3] == (11, 11, 12)  # 2K+3 with K=4 at tau
 
 
 def test_report_record_round_trip():

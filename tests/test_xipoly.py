@@ -241,25 +241,38 @@ def test_phi3_q_level():
 
 
 def test_zeta_table_is_safe_under_concurrent_access():
-    # fresh table hammered from several threads must agree with the shared one
+    # the zeta grid and a phi level from several threads, racing on the shared
+    # column cache, must agree with the values computed serially
+    import sys
     import threading
 
-    from pdocong.xipoly import ZetaTable
+    from pdocong.xipoly import _columns
 
-    fresh = ZetaTable()
     grid = [(i, j) for i in range(10) for j in range(10)]
+    serial = {key: zeta(*key) for key in grid}
+    serial["phi 7"] = phi_poly(7)
     results = {}
 
-    def worker(chunk):
+    def worker(chunk, with_phi):
         for key in chunk:
-            results[key] = fresh.get(*key)
+            results[key] = zeta(*key)
+        if with_phi:
+            # the uncached last level, so it walks the columns for i = 64
+            results["phi 7"] = phi_poly.__wrapped__(7)
 
-    threads = [threading.Thread(target=worker, args=(grid[k::4],)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(results[key] == zeta(*key) for key in grid)
+    _columns.cache_clear()
+    threads = [threading.Thread(target=worker, args=(grid[k::4], k == 0)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
 
 
 def test_str_rendering():
