@@ -6,15 +6,35 @@ contributes a factor m.  Its generating function is the eta quotient
 
     delta(q) = E(q^4) E(q^6)^2 / (E(q) E(q^3) E(q^12)),
 
-with E(q) = prod (1 - q^n).  This module expands such quotients exactly, along
-with the companion functions gamma, xi and kappa used by the polynomial tower,
-and provides a brute-force combinatorial oracle for PDO(n).
+with E(q) = prod (1 - q^n).  With the theta functions
+
+    psi(q) = sum_{n>=0} q^{n(n+1)/2} = E(q^2)^2 / E(q),
+    phi(-q) = sum_{n in Z} (-1)^n q^{n^2} = E(q)^2 / E(q^2),
+
+the same series is the theta quotient
+
+    delta(q) = psi(q) psi(q^3) / (phi(-q^2) E(q^12)),
+
+because
+
+    1/E(q) = psi(q) / E(q^2)^2,
+    1/E(q^3) = psi(q^3) / E(q^6)^2, which cancels the E(q^6)^2 above,
+    E(q^4) / E(q^2)^2 = 1 / phi(-q^2).
+
+``delta_series`` builds the table this way: the two psi factors are sparse and
+have unit coefficients, so their product is cheap, and only two sparse
+divisions remain.  ``expand`` is the generic eta-quotient route; it serves
+arbitrary specs and is the independent second route for delta.  The module
+also expands the companion functions gamma, xi and kappa used by the
+polynomial tower, and provides a brute-force combinatorial oracle for PDO(n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, count
+from typing import Iterable, Iterator
 
 from .series import Series
 
@@ -88,28 +108,49 @@ class PdoTable:
         return len(self.values)
 
 
+def _check_order(order: int) -> None:
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+
+
+def _sparse(order: int, m: int, terms: Iterable[tuple[int, int]]) -> Series:
+    """The series sum c q^(m e) over ``terms`` (e, c), given in ascending e."""
+    _check_order(order)
+    coeffs = [0] * order
+    for e, c in terms:
+        if m * e >= order:
+            break
+        coeffs[m * e] = c
+    return Series(coeffs)
+
+
+def _pentagonal_terms() -> Iterator[tuple[int, int]]:
+    """(m, (-1)^k) for m = k(3k-1)/2 and k(3k+1)/2, k >= 0, ascending in m."""
+    yield 0, 1
+    for k in count(1):
+        sign = -1 if k % 2 else 1
+        yield k * (3 * k - 1) // 2, sign
+        yield k * (3 * k + 1) // 2, sign
+
+
 @lru_cache(maxsize=None)
 def euler_series(order: int) -> Series:
     """E(q) = prod (1 - q^n), via the pentagonal-number expansion.
 
     Coefficient of q^m is (-1)^k exactly when m = k(3k-1)/2 or k(3k+1)/2.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = [0] * order
-    coeffs[0] = 1
-    k = 1
-    while True:
-        p1 = k * (3 * k - 1) // 2
-        if p1 >= order:
-            break
-        sign = 1 if k % 2 == 0 else -1
-        coeffs[p1] = sign
-        p2 = k * (3 * k + 1) // 2
-        if p2 < order:
-            coeffs[p2] = sign
-        k += 1
-    return Series(coeffs)
+    return _sparse(order, 1, _pentagonal_terms())
+
+
+def psi_series(order: int, m: int = 1) -> Series:
+    """psi(q^m) = sum_{n>=0} q^{m n(n+1)/2} = E(q^{2m})^2 / E(q^m)."""
+    return _sparse(order, m, ((n * (n + 1) // 2, 1) for n in count()))
+
+
+def phi_minus_series(order: int, m: int = 1) -> Series:
+    """phi(-q^m) = 1 + 2 sum_{n>=1} (-1)^n q^{m n^2} = E(q^m)^2 / E(q^{2m})."""
+    tail = ((n * n, -2 if n % 2 else 2) for n in count(1))
+    return _sparse(order, m, chain([(0, 1)], tail))
 
 
 @lru_cache(maxsize=None)
@@ -118,12 +159,14 @@ def expand(spec: EtaQuotientSpec, order: int) -> Series:
 
     Each factor is applied as |e| sparse multiplication or division passes,
     which keeps the cost near O(order^{3/2}) per factor instead of the dense
-    O(order^2) of a generic product.
+    O(order^2) of a generic product.  All multiplications come first, while
+    the product is still sparse with small coefficients; the divisions then
+    make it dense.  The truncated ring is commutative, so the order of the
+    passes does not change the result.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_order(order)
     result = Series.one(order)
-    for m, e in spec.factors:
+    for m, e in sorted(spec.factors, key=lambda factor: factor[1] < 0):
         factor = euler_series(order).dilate(m)
         if e > 0:
             for _ in range(e):
@@ -135,8 +178,13 @@ def expand(spec: EtaQuotientSpec, order: int) -> Series:
 
 
 def delta_series(order: int) -> Series:
-    """The PDO generating function."""
-    return expand(DELTA, order)
+    """The PDO generating function, as psi(q) psi(q^3) / (phi(-q^2) E(q^12)).
+
+    Equal to ``expand(DELTA, order)``; see the module docstring.  Nothing is
+    memoized: each call builds its table afresh.
+    """
+    theta = psi_series(order) * psi_series(order, 3)
+    return theta.div(phi_minus_series(order, 2)).div(_sparse(order, 12, _pentagonal_terms()))
 
 
 def gamma_series(order: int) -> Series:

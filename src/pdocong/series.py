@@ -8,6 +8,7 @@ Values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -82,25 +83,28 @@ class Series:
         # run the sparser operand on the outside; +-1 coefficients skip the multiply
         if _nonzero_count(b) < _nonzero_count(a):
             a, b = b, a
+        # the inner walk visits only b's nonzero terms, in ascending offset
+        inner = [(j, d) for j, d in enumerate(b) if d]
         out = [0] * order
         for i, c in enumerate(a):
             if not c:
                 continue
+            room = order - i
             if c == 1:
-                for j in range(order - i):
-                    d = b[j]
-                    if d:
-                        out[i + j] += d
+                for j, d in inner:
+                    if j >= room:
+                        break
+                    out[i + j] += d
             elif c == -1:
-                for j in range(order - i):
-                    d = b[j]
-                    if d:
-                        out[i + j] -= d
+                for j, d in inner:
+                    if j >= room:
+                        break
+                    out[i + j] -= d
             else:
-                for j in range(order - i):
-                    d = b[j]
-                    if d:
-                        out[i + j] += c * d
+                for j, d in inner:
+                    if j >= room:
+                        break
+                    out[i + j] += c * d
         return Series(out)
 
     __rmul__ = __mul__
@@ -129,25 +133,57 @@ class Series:
 
         Identical coefficients to ``self * other.invert()`` but runs in
         O(order * nonzeros(other)), which matters for sparse eta factors.
+
+        The divisor's nonzero offsets are grouped by coefficient value.  A
+        value held at two or more offsets k costs one C-level sum of the
+        out[n - k] and at most one multiply per n: theta and eta factors carry
+        only the values +-1 or +-2, so a division costs about one big-integer
+        addition per term.  A value held at a single offset keeps the plain
+        per-term loop, so a dense divisor with distinct values costs what it
+        did before grouping.
         """
         order = min(len(self.coeffs), len(other.coeffs))
         if other.order == 0 or other.coeffs[0] not in (1, -1):
             head = other.coeffs[0] if other.order else None
             raise NonUnitError(f"series is not invertible: constant term {head!r}")
         c0 = other.coeffs[0]
-        nz = [(k, other.coeffs[k]) for k in range(1, order) if other.coeffs[k]]
+        offsets: dict[int, list[int]] = {}
+        for k in range(1, order):
+            d = other.coeffs[k]
+            if d:
+                offsets.setdefault(d, []).append(k)
+        singles = sorted((ks[0], d) for d, ks in offsets.items() if len(ks) == 1)
+        # out is a zero sentinel followed by the quotient so far, so out[-k] is
+        # the coefficient at n - k.  A group's getter reads the sentinel and the
+        # group's offsets k <= n; it grows as n reaches each further offset.
+        live = {d: [0] for d, ks in offsets.items() if len(ks) > 1}
+        arrivals = sorted(((k, d) for d in live for k in offsets[d]), reverse=True)
+        getters: dict[int, itemgetter] = {}
+        groups: list[tuple[int, itemgetter]] = []
         num = self.coeffs
-        out = [0] * order
+        out = [0]
         for n in range(order):
+            if arrivals and arrivals[-1][0] == n:
+                _, d = arrivals.pop()
+                live[d].append(-n)
+                getters[d] = itemgetter(*live[d])
+                groups = list(getters.items())
             acc = num[n]
-            for k, d in nz:
+            for d, terms in groups:
+                if d == 1:
+                    acc -= sum(terms(out))
+                elif d == -1:
+                    acc += sum(terms(out))
+                else:
+                    acc -= d * sum(terms(out))
+            for k, d in singles:
                 if k > n:
                     break
-                prev = out[n - k]
+                prev = out[-k]
                 if prev:
                     acc -= d * prev
-            out[n] = acc if c0 == 1 else -acc
-        return Series(out)
+            out.append(acc if c0 == 1 else -acc)
+        return Series(out[1:])
 
     # -- coefficient rearrangements -----------------------------------------
 

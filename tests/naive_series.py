@@ -33,10 +33,10 @@ def eta_factor(m, order):
     out = [1] + [0] * (order - 1)
     n = 1
     while m * n < order:
-        binomial = [0] * order
-        binomial[0] = 1
-        binomial[m * n] = -1
-        out = poly_mul(out, binomial, order)
+        k = m * n
+        # times (1 - q^k), from the top down so each out[j - k] is still the old one
+        for j in range(order - 1, k - 1, -1):
+            out[j] -= out[j - k]
         n += 1
     return out
 

@@ -16,6 +16,7 @@ from pdocong import (
     pdo_series,
     xi_series,
 )
+from pdocong.etaq import phi_minus_series, psi_series
 from pdocong.xipoly import poly_to_series, zeta_initial
 
 from naive_series import eta_factor, expand_quotient, pdo_count
@@ -67,6 +68,34 @@ def test_expand_all_named_specs_match_oracle():
 def test_expand_rejects_bad_order():
     with pytest.raises(ValueError):
         expand(DELTA, 0)
+
+
+@pytest.mark.parametrize("order", [0, -1, -40])
+def test_delta_series_rejects_bad_order(order):
+    with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
+        delta_series(order)
+
+
+def test_delta_theta_route_matches_expand_at_every_small_order():
+    # the theta quotient and the generic eta quotient are independent routes
+    for order in range(1, 401):
+        assert delta_series(order) == expand(DELTA, order), order
+
+
+def test_delta_theta_route_matches_expand_at_8000():
+    assert delta_series(8000) == expand(DELTA, 8000)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+def test_theta_series_match_their_eta_quotients(m):
+    order = 500
+    psi_spec = EtaQuotientSpec(((2 * m, 2), (m, -1)))
+    phi_spec = EtaQuotientSpec(((m, 2), (2 * m, -1)))
+    psi, phi = psi_series(order, m), phi_minus_series(order, m)
+    assert psi == expand(psi_spec, order)
+    assert phi == expand(phi_spec, order)
+    assert list(psi) == expand_quotient(psi_spec.factors, order)
+    assert list(phi) == expand_quotient(phi_spec.factors, order)
 
 
 def test_expand_is_multiplicative():

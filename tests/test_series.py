@@ -4,12 +4,31 @@ from hypothesis import given, strategies as st
 from pdocong import NonUnitError, Series
 from pdocong.etaq import euler_series
 
-from naive_series import partition_count
+from naive_series import partition_count, poly_mul, series_div
 
 coeff_lists = st.lists(st.integers(-9, 9), min_size=0, max_size=24)
 unit_lists = st.tuples(st.sampled_from([1, -1]), st.lists(st.integers(-9, 9), max_size=20)).map(
     lambda t: [t[0]] + t[1]
 )
+
+
+def divisors(tail):
+    """Unit-constant divisors whose other coefficients come from ``tail``."""
+    return st.tuples(st.sampled_from([1, -1]), tail).map(lambda t: [t[0]] + t[1])
+
+
+# every nonzero value repeats, so Series.div forms groups
+two_value_divisors = divisors(st.lists(st.sampled_from([0, 0, 2, -2]), max_size=30))
+# no nonzero value repeats, so every offset is a singleton
+distinct_divisors = divisors(
+    st.lists(st.integers(-40, 40), max_size=30, unique=True).map(lambda xs: [x for x in xs if x])
+)
+# mostly a few repeated values, with occasional one-off ones
+mixed_divisors = divisors(
+    st.lists(st.one_of(st.sampled_from([0, 0, 1, -1, 3]), st.integers(-1000, 1000)), max_size=30)
+)
+# sparse operands: mostly zeros, as in theta and eta factors
+sparse_lists = st.lists(st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5)), max_size=40)
 
 
 def test_add_cancellation():
@@ -78,6 +97,39 @@ def test_div_matches_mul_by_invert():
     a = euler_series(40).dilate(2)
     b = Series([1, -3, 5, 7] * 10)
     assert a.div(b) == a * b.invert()
+
+
+def check_div_against_naive(num, den):
+    order = min(len(num), len(den))
+    assert list(Series(num).div(Series(den))) == series_div(num, den, order)
+
+
+@given(coeff_lists, two_value_divisors)
+def test_div_matches_naive_with_grouped_values(num, den):
+    check_div_against_naive(num, den)
+
+
+@given(coeff_lists, distinct_divisors)
+def test_div_matches_naive_with_distinct_values(num, den):
+    check_div_against_naive(num, den)
+
+
+@given(coeff_lists, mixed_divisors)
+def test_div_matches_naive_with_mixed_values(num, den):
+    check_div_against_naive(num, den)
+
+
+@given(st.one_of(two_value_divisors, distinct_divisors, mixed_divisors), coeff_lists)
+def test_div_undoes_mul(den, coeffs):
+    a, b = Series(coeffs), Series(den)
+    order = min(a.order, b.order)
+    assert (a * b).div(b) == a.truncate(order)
+
+
+@given(sparse_lists, sparse_lists)
+def test_mul_matches_naive_product_on_sparse_operands(a, b):
+    order = min(len(a), len(b))
+    assert list(Series(a) * Series(b)) == poly_mul(a, b, order)
 
 
 def test_pow_square():
