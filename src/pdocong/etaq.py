@@ -133,7 +133,11 @@ def _pentagonal_terms() -> Iterator[tuple[int, int]]:
         yield k * (3 * k + 1) // 2, sign
 
 
-@lru_cache(maxsize=None)
+# The caches below are bounded.  A computation reuses a handful of entries: the
+# kappa/xi cross-checks need gamma and xi at two orders, so four expansions and
+# two Euler series.  Without a bound a long-running process would keep every
+# expansion it ever made alive.
+@lru_cache(maxsize=2)
 def euler_series(order: int) -> Series:
     """E(q) = prod (1 - q^n), via the pentagonal-number expansion.
 
@@ -153,7 +157,7 @@ def phi_minus_series(order: int, m: int = 1) -> Series:
     return _sparse(order, m, chain([(0, 1)], tail))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def expand(spec: EtaQuotientSpec, order: int) -> Series:
     """Expand an eta quotient to the requested order, exactly.
 
@@ -196,7 +200,7 @@ def xi_series(order: int) -> Series:
     return expand(XI, order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def kappa_series(order: int) -> Series:
     """kappa(q) = gamma(q^2)^2 / gamma(q)."""
     g = gamma_series(order)

@@ -4,10 +4,20 @@ A :class:`Series` stores the first ``order`` coefficients (of q^0 .. q^{order-1}
 as plain Python integers.  Every operation is exact; binary operations truncate
 to the shorter operand, so no coefficient is ever fabricated beyond known data.
 Values are immutable after construction and safe to share across threads.
+
+A product takes one of two paths, chosen from the operands' nonzero counts.
+Sparse operands (eta and theta factors) are multiplied by a walk over the
+nonzero terms.  Dense operands go to ``_kronecker``: both coefficient lists
+are packed into one decimal number each, multiplied once by libmpdec (CPython's
+decimal library, whose multiply uses a number-theoretic transform for large
+operands) in a private context that traps any rounding, and cut back into
+coefficients.  The module loads ``decimal`` on the first dense product only.
 """
 
 from __future__ import annotations
 
+import sys
+from itertools import accumulate, count
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -18,6 +28,100 @@ class NonUnitError(ValueError):
 
 def _nonzero_count(coeffs) -> int:
     return sum(1 for c in coeffs if c)
+
+
+# A product goes to the Kronecker kernel when its sparser operand has at least
+# KRONECKER_MIN_TERMS nonzero terms and at least sqrt(KRONECKER_SPARSITY * order)
+# of them.  The walk costs one big-integer multiply-add per pair of nonzero
+# terms, the kernel a number of digit operations near order times the slot
+# width.  Measured against a dense xi(q) (CPython 3.11, one Xeon core), the
+# kernel wins once the sparser operand has about 64 nonzero terms at order 300,
+# 128 at order 1200 and 256 at order 8000; dense operands with 4-, 64- and
+# 600-bit coefficients cross over near orders 30, 64 and 96.  Eta and theta
+# factors hold at most 2 sqrt(order) + 1 nonzero terms, so the eta passes of
+# ``etaq.expand`` and the sparse PDO products always stay on the walk.
+KRONECKER_MIN_TERMS = 64
+KRONECKER_SPARSITY = 10
+
+
+def _walk(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The truncated product of two equal-length coefficient tuples, a the sparser.
+
+    ``a`` runs on the outside and the inner walk visits only b's nonzero
+    terms, in ascending offset; +-1 coefficients of ``a`` skip the multiply.
+    """
+    order = len(a)
+    inner = [(j, d) for j, d in enumerate(b) if d]
+    out = [0] * order
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        room = order - i
+        if c == 1:
+            for j, d in inner:
+                if j >= room:
+                    break
+                out[i + j] += d
+        elif c == -1:
+            for j, d in inner:
+                if j >= room:
+                    break
+                out[i + j] -= d
+        else:
+            for j, d in inner:
+                if j >= room:
+                    break
+                out[i + j] += c * d
+    return out
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """The truncated product of two equal-length coefficient tuples, by one
+    big-number multiplication (Kronecker substitution).
+
+    Each tuple is biased by its own largest |c|, so every coefficient is
+    nonnegative, and packed into one decimal string with slots of ``width``
+    digits, highest power first.  A slot of the biased product is a sum of at
+    most ``order`` terms, each below 4 |a|max |b|max, so 10^width > 4 |a|max
+    |b|max order keeps the slots from carrying into each other.  The multiply
+    runs in libmpdec, CPython's decimal library, which switches to a
+    number-theoretic transform for large operands.  Its private context has the
+    largest precision and exponent range and traps rounding, so a product that
+    does not fit raises instead of losing digits; the thread's current decimal
+    context is never read.  The bias comes off exactly with prefix sums:
+
+        c_k = slot_k - |b|max A_k - |a|max B_k - |a|max |b|max (k + 1),
+
+    with A_k, B_k the prefix sums of a and b.  Slots wider than the interpreter
+    allows for int/str conversion go to the walk instead.
+    """
+    import decimal  # only dense products load it; `import pdocong` stays without
+
+    order = len(a)
+    max_a = max(map(abs, a))
+    max_b = max(map(abs, b))
+    # 30103/100000 > log10(2), so 10^width > 2^bits > 4 max_a max_b order
+    width = (4 * max_a * max_b * order).bit_length() * 30103 // 100000 + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and width > limit:
+        return _walk(a, b)
+    context = decimal.Context(
+        prec=decimal.MAX_PREC,
+        Emax=decimal.MAX_EMAX,
+        Emin=decimal.MIN_EMIN,
+        traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+    )
+    slot = f"%0{width}d"
+    x = context.create_decimal("".join([slot % (c + max_a) for c in reversed(a)]))
+    y = x if b is a else context.create_decimal("".join([slot % (c + max_b) for c in reversed(b)]))
+    size = order * width
+    digits = context.to_sci_string(context.multiply(x, y))[-size:].zfill(size)
+    slots = [int(digits[i - width : i]) for i in range(size, 0, -width)]
+    both = max_a * max_b
+    return [
+        s - max_b * pa - max_a * pb - both * k
+        for s, pa, pb, k in zip(slots, accumulate(a), accumulate(b), count(1))
+    ]
 
 
 class Series:
@@ -80,32 +184,13 @@ class Series:
         order = min(len(self.coeffs), len(other.coeffs))
         a = self.coeffs[:order]
         b = other.coeffs[:order]
-        # run the sparser operand on the outside; +-1 coefficients skip the multiply
-        if _nonzero_count(b) < _nonzero_count(a):
-            a, b = b, a
-        # the inner walk visits only b's nonzero terms, in ascending offset
-        inner = [(j, d) for j, d in enumerate(b) if d]
-        out = [0] * order
-        for i, c in enumerate(a):
-            if not c:
-                continue
-            room = order - i
-            if c == 1:
-                for j, d in inner:
-                    if j >= room:
-                        break
-                    out[i + j] += d
-            elif c == -1:
-                for j, d in inner:
-                    if j >= room:
-                        break
-                    out[i + j] -= d
-            else:
-                for j, d in inner:
-                    if j >= room:
-                        break
-                    out[i + j] += c * d
-        return Series(out)
+        terms_a = _nonzero_count(a)
+        terms_b = _nonzero_count(b)
+        if terms_b < terms_a:
+            a, b, terms_a = b, a, terms_b
+        if terms_a >= KRONECKER_MIN_TERMS and terms_a * terms_a >= KRONECKER_SPARSITY * order:
+            return Series(_kronecker(a, b))
+        return Series(_walk(a, b))
 
     __rmul__ = __mul__
 

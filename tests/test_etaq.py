@@ -166,6 +166,19 @@ def test_pdo_even_slice_is_delta_squared():
         assert table[2 * n] == square.coeff(n)
 
 
+def test_expansion_caches_are_bounded():
+    expand.cache_clear()
+    euler_series.cache_clear()
+    kappa_series.cache_clear()
+    for order in range(100, 1300, 100):
+        expand(XI, order)
+    kappa_series(40)
+    kappa_series(50)
+    for cached, bound in ((expand, 4), (euler_series, 2), (kappa_series, 1)):
+        info = cached.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+
+
 def test_spec_text_round_trip():
     for spec in (DELTA, GAMMA, XI, KAPPA):
         assert EtaQuotientSpec.parse(spec.spec_text()) == spec

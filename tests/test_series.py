@@ -1,8 +1,13 @@
-import pytest
-from hypothesis import given, strategies as st
+import decimal
+import sys
+import threading
 
-from pdocong import NonUnitError, Series
-from pdocong.etaq import euler_series
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pdocong import DELTA, XI, NonUnitError, Series, series
+from pdocong.etaq import delta_series, euler_series, expand, kappa_series, pdo_series, xi_series
+from pdocong.series import KRONECKER_MIN_TERMS, KRONECKER_SPARSITY, _kronecker
 
 from naive_series import partition_count, poly_mul, series_div
 
@@ -29,6 +34,19 @@ mixed_divisors = divisors(
 )
 # sparse operands: mostly zeros, as in theta and eta factors
 sparse_lists = st.lists(st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-5, 5)), max_size=40)
+# dense operands of lengths around the order where products switch to the kernel
+dense_lengths = st.integers(KRONECKER_MIN_TERMS - 2, KRONECKER_MIN_TERMS + 2)
+
+
+def dense_lists(coeffs):
+    return dense_lengths.flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n))
+
+
+kernel_operands = st.one_of(
+    dense_lists(st.integers(-(2**600), 2**600)),
+    dense_lists(st.sampled_from([1, -1])),
+    st.tuples(st.sampled_from([0, 1, -1]), dense_lengths).map(lambda t: [t[0]] * t[1]),
+)
 
 
 def test_add_cancellation():
@@ -130,6 +148,97 @@ def test_div_undoes_mul(den, coeffs):
 def test_mul_matches_naive_product_on_sparse_operands(a, b):
     order = min(len(a), len(b))
     assert list(Series(a) * Series(b)) == poly_mul(a, b, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands, kernel_operands)
+def test_kronecker_matches_naive_product(a, b):
+    order = min(len(a), len(b))
+    want = poly_mul(a, b, order)
+    assert _kronecker(tuple(a[:order]), tuple(b[:order])) == want
+    assert list(Series(a) * Series(b)) == want
+    square = tuple(a)
+    assert _kronecker(square, square) == poly_mul(a, a, len(a))
+
+
+def test_products_switch_to_the_kernel_at_the_threshold(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append((len(a), sum(1 for c in a if c)))
+        return _kronecker(a, b)
+
+    monkeypatch.setattr(series, "_kronecker", spy)
+    dense = [(-1) ** n * (n + 1) for n in range(KRONECKER_MIN_TERMS)]
+    for a in (dense[:-1], dense):
+        assert list(Series(a) * Series(a[::-1])) == poly_mul(a, a[::-1], len(a))
+    # at order 1000 a sparse operand needs isqrt(10 * 1000) = 100 terms
+    order = 1000
+    assert KRONECKER_SPARSITY * order == 100**2
+    for terms in (99, 100):
+        sparse = [3 if n % 10 == 0 and n < 10 * terms else 0 for n in range(order)]
+        wide = [n % 7 - 3 for n in range(order)]
+        assert list(Series(sparse) * Series(wide)) == poly_mul(sparse, wide, order)
+    assert calls == [(KRONECKER_MIN_TERMS, KRONECKER_MIN_TERMS), (order, 100)]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int/str conversion limit")
+def test_products_of_huge_coefficients_fall_back_to_the_walk():
+    # slots need about 12000 digits, past the default int/str conversion limit
+    order = KRONECKER_MIN_TERMS
+    a = [(-1) ** n * (2**20000 - n) for n in range(order)]
+    b = [2**20000 + 7 * n for n in range(order)]
+    want = poly_mul(a, b, order)
+    assert list(Series(a) * Series(b)) == want
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert _kronecker(tuple(a), tuple(b)) == want
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_sparse_products_stay_on_the_walk(monkeypatch):
+    def refuse(a, b):
+        raise AssertionError(f"sparse product sent to the kernel at order {len(a)}")
+
+    monkeypatch.setattr(series, "_kronecker", refuse)
+    expand.cache_clear()
+    euler_series.cache_clear()
+    assert pdo_series(8000)[8] == 22
+    assert expand(XI, 1200).order == 1200
+    assert expand(DELTA, 400) == delta_series(400)
+
+
+def test_dense_products_are_thread_safe():
+    xi, kappa = xi_series(600), kappa_series(600)
+    pairs = [(xi, xi), (kappa, xi), (kappa, kappa), (xi * xi, kappa), (kappa * kappa, xi * xi)]
+    serial = [a * b for a, b in pairs]
+    results = {}
+    untouched = {}
+
+    def worker(k):
+        # a context that would raise on the first digit rounded, if it were used
+        hostile = decimal.Context(prec=1, Emax=1, Emin=-1, traps=[decimal.Inexact, decimal.Rounded])
+        decimal.setcontext(hostile)
+        for n in range(len(pairs)):
+            m = (n + k) % len(pairs)
+            results[k, m] = pairs[m][0] * pairs[m][1]
+        untouched[k] = decimal.getcontext() is hostile and not any(hostile.flags.values())
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {(k, m): serial[m] for k in range(4) for m in range(len(pairs))}
+    assert untouched == {k: True for k in range(4)}
 
 
 def test_pow_square():
