@@ -10,14 +10,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .congruence import (
-    CongruenceReport,
-    CongruenceSpec,
-    main_family_spec,
-    scan,
-    verify,
-    verify_ramanujan,
-)
+from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
 from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
 from .padic import INFINITY, check_f_profile
 from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
@@ -64,14 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("valuations", parents=[common], help="2-adic valuation table of phi coefficients")
-    p.add_argument("--k", type=int, nargs="*", default=[], help="odd levels, e.g. --k 3 5")
+    p.add_argument("--k", type=int, nargs="+", required=True, help="odd levels, e.g. --k 3 5")
 
     p = sub.add_parser("verify", parents=[common], help="verify a congruence family over a window")
-    p.add_argument(
-        "--family",
-        choices=("main", "corollary", "strengthened", "ramanujan", "pair"),
-        required=True,
-    )
+    p.add_argument("--family", choices=(*FAMILIES, "pair"), required=True)
     p.add_argument("--k", type=int, default=0, help="family level (main/corollary)")
     p.add_argument("--nmax", type=int, required=True, help="check all n with 0 <= n < nmax")
     p.add_argument("--alpha-max", type=int, default=0, dest="alpha_max")
@@ -99,16 +88,19 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(command, output_format, out_path, order, params)
 
 
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n")
+
+
 def _poly_text(p: XiPoly, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(p.to_records())
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["degree", "coefficient"])
-        for deg, coeff in p.terms():
-            writer.writerow([deg, str(coeff)])
-        return buf.getvalue().rstrip("\n")
+        return _csv_text(["degree", "coefficient"], ((deg, str(c)) for deg, c in p.terms()))
     return str(p)
 
 
@@ -116,12 +108,7 @@ def _values_text(values, fmt: str, order: int) -> str:
     if fmt == "json":
         return json.dumps({"order": order, "values": [str(v) for v in values]})
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n", "value"])
-        for n, v in enumerate(values):
-            writer.writerow([n, str(v)])
-        return buf.getvalue().rstrip("\n")
+        return _csv_text(["n", "value"], ((n, str(v)) for n, v in enumerate(values)))
     return "\n".join(str(v) for v in values)
 
 
@@ -142,39 +129,15 @@ def _reports_text(reports: list[CongruenceReport], fmt: str) -> str:
     if fmt == "json":
         return json.dumps([r.to_record() for r in reports])
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            ["description", "modulus", "n_start", "n_stop", "verdict", "counterexample_n"]
+        return _csv_text(
+            ["description", "modulus", "n_start", "n_stop", "verdict", "counterexample_n"],
+            (
+                [r.spec.describe(), r.spec.modulus, *r.spec.n_range, r.verdict,
+                 r.counterexample[0] if r.counterexample else ""]
+                for r in reports
+            ),
         )
-        for r in reports:
-            ce = r.counterexample[0] if r.counterexample else ""
-            writer.writerow(
-                [r.spec.describe(), r.spec.modulus, r.spec.n_range[0], r.spec.n_range[1], r.verdict, ce]
-            )
-        return buf.getvalue().rstrip("\n")
     return "\n".join(_report_line(r) for r in reports)
-
-
-def emit_valuation_table(k_list, fmt: str = "plain", max_k: int = 5) -> tuple[int, str]:
-    """Rows nu(F_k(tau_k + M)) for each requested odd k; exit 1 on any fail."""
-    reports = [check_f_profile(k, max_k=max_k) for k in k_list]
-    code = 0 if all(r.passed for r in reports) else 1
-    if fmt == "json":
-        return code, json.dumps([r.to_record() for r in reports])
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "tau", "offset", "valuation"])
-        for r in reports:
-            for m, v in enumerate(r.vals):
-                writer.writerow([r.k, r.base_degree, m, "inf" if v == INFINITY else v])
-        return code, buf.getvalue().rstrip("\n")
-    lines = []
-    for r in reports:
-        vals = ", ".join("inf" if v == INFINITY else str(v) for v in r.vals)
-        lines.append(f"F_{r.k}  tau={r.base_degree}  nu=[{vals}]  verdict={r.verdict}")
-    return code, "\n".join(lines)
 
 
 def _required_order(config: RunConfig, minimum: int) -> int:
@@ -213,7 +176,26 @@ def _cmd_phi(config: RunConfig) -> tuple[int, str]:
 
 
 def _cmd_valuations(config: RunConfig) -> tuple[int, str]:
-    return emit_valuation_table(config.params["k"], config.output_format)
+    """Rows nu(F_k(tau_k + M)) for each requested odd k; exit 1 on any fail."""
+    reports = [check_f_profile(k) for k in config.params["k"]]
+    code = 0 if all(r.passed for r in reports) else 1
+    fmt = config.output_format
+    if fmt == "json":
+        return code, json.dumps([r.to_record() for r in reports])
+    if fmt == "csv":
+        return code, _csv_text(
+            ["k", "tau", "offset", "valuation"],
+            (
+                [r.k, r.base_degree, m, "inf" if v == INFINITY else v]
+                for r in reports
+                for m, v in enumerate(r.vals)
+            ),
+        )
+    lines = []
+    for r in reports:
+        vals = ", ".join("inf" if v == INFINITY else str(v) for v in r.vals)
+        lines.append(f"F_{r.k}  tau={r.base_degree}  nu=[{vals}]  verdict={r.verdict}")
+    return code, "\n".join(lines)
 
 
 def _cmd_verify(config: RunConfig) -> tuple[int, str]:
@@ -221,29 +203,16 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
     nmax = config.params["nmax"]
     if nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {nmax}")
-    k = config.params["k"]
     window = (0, nmax)
-    top = nmax - 1
-    if family == "main":
-        specs = [main_family_spec(k, nmax)]
-    elif family == "corollary":
-        m = 2 ** (2 * k + 3)
-        specs = [CongruenceSpec(2 ** (2 * k + 4), 2 ** (2 * k + 2), m, window)]
-    elif family == "strengthened":
-        specs = [CongruenceSpec(32, 8, 64, window), CongruenceSpec(128, 32, 128, window)]
-    elif family == "pair":
+    if family == "pair":
         lhs, rhs, mod_exp = (config.params[key] for key in ("lhs", "rhs", "mod_exp"))
         if lhs is None or rhs is None or mod_exp is None:
             raise ValueError("family=pair needs --lhs, --rhs and --mod-exp")
         specs = [CongruenceSpec(lhs, rhs, 2**mod_exp, window)]
-    else:  # ramanujan
-        alpha_max = config.params["alpha_max"]
-        needed = 2**alpha_max * (8 * top + 7) + 1
-        table = pdo_series(_required_order(config, needed))
-        reports = verify_ramanujan(alpha_max, nmax, table)
-        code = 0 if all(r.passed for r in reports) else 1
-        return code, _reports_text(reports, config.output_format)
-    needed = max(spec.max_index(top) for spec in specs) + 1
+    else:
+        level = config.params["alpha_max" if family == "ramanujan" else "k"]
+        specs = FAMILIES[family](level, window)
+    needed = max(spec.max_index(nmax - 1) for spec in specs) + 1
     table = pdo_series(_required_order(config, needed))
     reports = [verify(spec, table) for spec in specs]
     code = 0 if all(r.passed for r in reports) else 1
@@ -278,12 +247,10 @@ def _cmd_scan(config: RunConfig) -> tuple[int, str]:
     if fmt == "json":
         return 0, json.dumps([r.to_record() for r in results])
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["lhs_stride", "rhs_stride", "max_exponent", "n_stop"])
-        for r in results:
-            writer.writerow([r.pair[0], r.pair[1], r.exponent, r.n_range[1]])
-        return 0, buf.getvalue().rstrip("\n")
+        return 0, _csv_text(
+            ["lhs_stride", "rhs_stride", "max_exponent", "n_stop"],
+            ([*r.pair, r.exponent, r.n_range[1]] for r in results),
+        )
     lines = [
         f"PDO({r.pair[0]}*n) == PDO({r.pair[1]}*n) holds mod 2^{r.exponent} "
         f"for n in [0, {r.n_range[1]})"

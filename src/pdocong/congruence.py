@@ -6,13 +6,14 @@ was checked against: a pass is evidence at that order, never a proof.
 
 Two spec shapes exist: the internal families PDO(a n) == PDO(b n) (mod 2^e)
 as :class:`CongruenceSpec`, and the Ramanujan-type divisibility families
-PDO(a n + c) == 0 (mod m) as :class:`DivisibilitySpec`.
+PDO(a n + c) == 0 (mod m) as :class:`DivisibilitySpec`.  Each named family is
+defined once, as a spec builder in :data:`FAMILIES`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .etaq import PdoTable
 from .padic import nu2
@@ -107,27 +108,6 @@ class CongruenceReport:
         return record
 
 
-def report_from_record(record: dict) -> CongruenceReport:
-    window = (int(record["window"][0]), int(record["window"][1]))
-    if "lhs_stride" in record:
-        spec: AnySpec = CongruenceSpec(
-            int(record["lhs_stride"]), int(record["rhs_stride"]), int(record["modulus"]), window
-        )
-    else:
-        spec = DivisibilitySpec(
-            int(record["stride"]), int(record["offset"]), int(record["modulus"]), window
-        )
-    ce = record.get("counterexample")
-    counterexample = (int(ce["n"]), int(ce["lhs"]), int(ce["rhs"])) if ce else None
-    return CongruenceReport(
-        spec=spec,
-        verdict=record["verdict"],
-        counterexample=counterexample,
-        checked_count=int(record["checked_count"]),
-        truncation_order=int(record["truncation_order"]),
-    )
-
-
 def verify(spec: AnySpec, table: PdoTable) -> CongruenceReport:
     """Check a spec over its window; the least counterexample is reported."""
     start, stop = spec.n_range
@@ -155,6 +135,11 @@ def verify(spec: AnySpec, table: PdoTable) -> CongruenceReport:
     )
 
 
+def _check_level(name: str, level: int) -> None:
+    if level < 0:
+        raise ValueError(f"{name} must be >= 0, got {level}")
+
+
 def main_family_spec(k: int, n_stop: int, n_start: int = 0) -> CongruenceSpec:
     """Level-k member of the main family:
     PDO(2^{2k+3} n) == PDO(2^{2k+1} n) (mod 2^{2k+3}).
@@ -165,10 +150,48 @@ def main_family_spec(k: int, n_stop: int, n_start: int = 0) -> CongruenceSpec:
     covers members k >= 1 only.  Whether the paper restricts the family to
     k >= 1 or the abstract misprints it is not settled here, so k=0 is still
     built as stated and verifying it reports the counterexample."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_level("k", k)
     m = 2 ** (2 * k + 3)
     return CongruenceSpec(m, 2 ** (2 * k + 1), m, (n_start, n_stop))
+
+
+def _main_specs(k: int, window: tuple[int, int]) -> list[AnySpec]:
+    return [main_family_spec(k, window[1], window[0])]
+
+
+def _corollary_specs(k: int, window: tuple[int, int]) -> list[AnySpec]:
+    """PDO(2^{2k+4} n) == PDO(2^{2k+2} n) (mod 2^{2k+3})."""
+    _check_level("k", k)
+    return [CongruenceSpec(2 ** (2 * k + 4), 2 ** (2 * k + 2), 2 ** (2 * k + 3), window)]
+
+
+def _strengthened_specs(k: int, window: tuple[int, int]) -> list[AnySpec]:
+    """PDO(32n) == PDO(8n) (mod 64) and PDO(128n) == PDO(32n) (mod 128).
+
+    The pair has no level; k is only range-checked like the other families'."""
+    _check_level("k", k)
+    return [CongruenceSpec(32, 8, 64, window), CongruenceSpec(128, 32, 128, window)]
+
+
+def _ramanujan_specs(alpha_max: int, window: tuple[int, int]) -> list[AnySpec]:
+    """PDO(2^alpha (4n+3)) == 0 (mod 4) and PDO(2^alpha (8n+7)) == 0 (mod 8)
+    for 0 <= alpha <= alpha_max."""
+    _check_level("alpha_max", alpha_max)
+    return [
+        DivisibilitySpec(modulus * 2**alpha, residue * 2**alpha, modulus, window)
+        for alpha in range(alpha_max + 1)
+        for modulus, residue in ((4, 3), (8, 7))
+    ]
+
+
+#: family name -> builder (level, half-open window) -> specs.  The level is k
+#: for every family but ``ramanujan``, whose level is alpha_max.
+FAMILIES: dict[str, Callable[[int, tuple[int, int]], list[AnySpec]]] = {
+    "main": _main_specs,
+    "corollary": _corollary_specs,
+    "strengthened": _strengthened_specs,
+    "ramanujan": _ramanujan_specs,
+}
 
 
 def verify_main(k: int, n_max: int, table: PdoTable) -> CongruenceReport:
@@ -177,41 +200,25 @@ def verify_main(k: int, n_max: int, table: PdoTable) -> CongruenceReport:
     For k=0 the report is a fail with counterexample (1, 22, 2) whenever
     n_max >= 1 (see :func:`main_family_spec`); from k=1 on the family is
     expected to pass."""
-    return verify(main_family_spec(k, n_max + 1), table)
+    return verify(*FAMILIES["main"](k, (0, n_max + 1)), table)
 
 
 def verify_corollary(k: int, n_max: int, table: PdoTable) -> CongruenceReport:
     """Corollary family PDO(2^{2k+4} n) == PDO(2^{2k+2} n) (mod 2^{2k+3})
     over 0 <= n <= n_max (n = 0 included)."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    spec = CongruenceSpec(
-        2 ** (2 * k + 4), 2 ** (2 * k + 2), 2 ** (2 * k + 3), (0, n_max + 1)
-    )
-    return verify(spec, table)
+    return verify(*FAMILIES["corollary"](k, (0, n_max + 1)), table)
 
 
 def verify_strengthened(n_max: int, table: PdoTable) -> tuple[CongruenceReport, CongruenceReport]:
     """The two sharpened low cases, over 0 <= n <= n_max:
     PDO(32n) == PDO(8n) (mod 64) and PDO(128n) == PDO(32n) (mod 128)."""
-    window = (0, n_max + 1)
-    first = verify(CongruenceSpec(32, 8, 64, window), table)
-    second = verify(CongruenceSpec(128, 32, 128, window), table)
-    return first, second
+    return tuple(verify(spec, table) for spec in FAMILIES["strengthened"](0, (0, n_max + 1)))
 
 
 def verify_ramanujan(alpha_max: int, n_max: int, table: PdoTable) -> list[CongruenceReport]:
     """Ramanujan-type divisibilities for 0 <= alpha <= alpha_max over n < n_max:
     PDO(2^alpha (4n+3)) == 0 (mod 4) and PDO(2^alpha (8n+7)) == 0 (mod 8)."""
-    if alpha_max < 0:
-        raise ValueError(f"alpha_max must be >= 0, got {alpha_max}")
-    reports = []
-    for alpha in range(alpha_max + 1):
-        scale = 2**alpha
-        window = (0, n_max)
-        reports.append(verify(DivisibilitySpec(4 * scale, 3 * scale, 4, window), table))
-        reports.append(verify(DivisibilitySpec(8 * scale, 7 * scale, 8, window), table))
-    return reports
+    return [verify(spec, table) for spec in FAMILIES["ramanujan"](alpha_max, (0, n_max))]
 
 
 @dataclass(frozen=True)

@@ -108,19 +108,6 @@ class ProfileReport:
         return record
 
 
-def report_from_record(record: dict) -> ProfileReport:
-    vals = tuple(INFINITY if v == "inf" else int(v) for v in record["vals"])
-    return ProfileReport(
-        family=record["family"],
-        i=record.get("i"),
-        j=record.get("j"),
-        k=record.get("k"),
-        base_degree=int(record["base_degree"]),
-        vals=vals,
-        verdict=record["verdict"],
-    )
-
-
 DEFAULT_WINDOW = 10
 
 

@@ -271,23 +271,6 @@ def zeta(i: int, j: int) -> XiPoly:
     return unitize(XiPoly.monomial(j), i)
 
 
-def zeta_combined(i: int, j: int) -> XiPoly:
-    """The four-term recurrence obtained by composing both step recurrences.
-
-    Only valid for i, j >= 2; exists as an independent route for consistency
-    checks against :func:`zeta`.
-    """
-    if i < 2 or j < 2:
-        raise ValueError(f"combined recurrence needs i, j >= 2, got ({i}, {j})")
-    sk, sx = _SIGMA["kappa"], _SIGMA["xi"]
-    return (
-        (sx.sigma1 * sk.sigma1) * zeta(i - 1, j - 1)
-        - (sx.sigma2 * sk.sigma1) * zeta(i - 1, j - 2)
-        - (sx.sigma1 * sk.sigma2) * zeta(i - 2, j - 1)
-        + (sx.sigma2 * sk.sigma2) * zeta(i - 2, j - 2)
-    )
-
-
 def gamma6_poly() -> XiPoly:
     """gamma^6 as a degree-15 polynomial in xi (cross-checked at q-level by
     the identity suite)."""

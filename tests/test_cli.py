@@ -1,11 +1,22 @@
+import argparse
 import json
 
 import pytest
 
-from pdocong import XiPoly, lambda_poly, phi_poly, zeta
-from pdocong.cli import main, parse_config
-from pdocong.congruence import report_from_record as congruence_from_record
-from pdocong.padic import report_from_record as profile_from_record
+from pdocong import (
+    FAMILIES,
+    XiPoly,
+    lambda_poly,
+    pdo_series,
+    phi_poly,
+    verify_corollary,
+    verify_main,
+    verify_ramanujan,
+    verify_strengthened,
+    zeta,
+)
+from pdocong.cli import _build_parser, main, parse_config
+from records import congruence_from_record, profile_from_record
 
 
 def run_cli(capsys, *argv):
@@ -102,9 +113,12 @@ def test_valuations_json_round_trip(capsys):
 
 
 def test_valuations_empty_list(capsys):
-    code, out, _ = run_cli(capsys, "valuations")
-    assert code == 0
-    assert out == ""
+    # argparse refuses an empty level list
+    for argv in (["valuations"], ["valuations", "--k"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--k" in capsys.readouterr().err
 
 
 def test_valuations_out_of_range_exits_2(capsys):
@@ -147,6 +161,56 @@ def test_verify_main_k0_reports_honest_failure(capsys):
     code, out, _ = run_cli(capsys, "verify", "--family", "main", "--k", "0", "--nmax", "100")
     assert code == 1
     assert "counterexample n=1: lhs=22, rhs=2" in out
+
+
+@pytest.mark.parametrize(
+    "family, flag, message",
+    [
+        ("corollary", "--k", "k must be >= 0, got -1"),
+        ("strengthened", "--k", "k must be >= 0, got -1"),
+        ("ramanujan", "--alpha-max", "alpha_max must be >= 0, got -1"),
+    ],
+)
+def test_verify_negative_level_exits_2(capsys, family, flag, message):
+    code, out, err = run_cli(capsys, "verify", "--family", family, flag, "-1", "--nmax", "10")
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+# each registered family at one level, through the library on an order-8000 table
+LIBRARY_CALLS = {
+    "main": (1, lambda table: [verify_main(1, 29, table)]),
+    "corollary": (1, lambda table: [verify_corollary(1, 29, table)]),
+    "strengthened": (0, lambda table: list(verify_strengthened(29, table))),
+    "ramanujan": (2, lambda table: verify_ramanujan(2, 30, table)),
+}
+
+
+def test_verify_family_choices_are_the_library_table():
+    [commands] = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [family] = [a for a in commands.choices["verify"]._actions if a.dest == "family"]
+    assert tuple(family.choices) == (*FAMILIES, "pair")
+    assert set(FAMILIES) == set(LIBRARY_CALLS)
+
+
+@pytest.fixture(scope="module")
+def table_8000():
+    return pdo_series(8000)
+
+
+@pytest.mark.parametrize("family", sorted(LIBRARY_CALLS))
+def test_verify_json_matches_library(capsys, table_8000, family):
+    level, library_call = LIBRARY_CALLS[family]
+    flag = "--alpha-max" if family == "ramanujan" else "--k"
+    code, out, _ = run_cli(
+        capsys, "verify", "--family", family, flag, str(level), "--nmax", "30", "--format", "json"
+    )
+    assert code == 0
+    reports = library_call(table_8000)
+    # same specs and verdicts; the CLI sizes its own table to the window
+    order = max(r.spec.max_index(29) for r in reports) + 1
+    assert json.loads(out) == [{**r.to_record(), "truncation_order": order} for r in reports]
 
 
 def test_verify_pair_missing_args_exits_2(capsys):

@@ -15,7 +15,8 @@ from pdocong import (
     tau,
     zeta,
 )
-from pdocong.padic import ProfileReport, report_from_record
+from pdocong.padic import ProfileReport
+from records import profile_from_record
 
 
 def test_nu2_values():
@@ -172,7 +173,7 @@ def test_check_f_profile_k9():
 def test_report_record_round_trip():
     for report in (check_z_profile(5, 1), check_f_profile(3)):
         record = report.to_record()
-        back = report_from_record(record)
+        back = profile_from_record(record)
         assert back.family == report.family
         assert back.base_degree == report.base_degree
         assert back.vals == report.vals
@@ -185,7 +186,7 @@ def test_report_record_serializes_infinity():
     )
     record = report.to_record()
     assert record["vals"] == [0, "inf"]
-    assert report_from_record(record).vals == (0, INFINITY)
+    assert profile_from_record(record).vals == (0, INFINITY)
 
 
 def test_profile_report_shape():

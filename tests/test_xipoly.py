@@ -16,10 +16,10 @@ from pdocong import (
     sigma_pair,
     xi_series,
     zeta,
-    zeta_combined,
     zeta_initial,
 )
 from pdocong.xipoly import ONE, ZERO
+from zeta_oracle import zeta_combined
 
 LAMBDA_2 = XiPoly({2: 3, 3: -2})
 LAMBDA_3 = XiPoly({4: 9, 5: -24, 6: 16})

@@ -1,14 +1,33 @@
-"""The memoized sparse zeta builder, kept as an independent oracle for unitize.
+"""Independent routes to zeta, kept as oracles for unitize.
 
-It shares only the ring ``XiPoly``, the six base values ``zeta_initial()`` and
-the recurrence coefficients ``sigma_pair()`` with the package.  Each instance
-fills its own dict the way the recurrences are derived: the columns j = 0, 1
+``zeta_combined`` composes both step recurrences into one four-term
+recurrence.  ``SparseZeta`` is the memoized sparse builder.
+
+The sparse builder shares only the ring ``XiPoly``, the six base values
+``zeta_initial()`` and the recurrence coefficients ``sigma_pair()`` with the
+package.  Each instance fills its own dict the way the recurrences are derived: the columns j = 0, 1
 grow in i by the kappa recurrence, then row i extends in j by the xi
 recurrence.  Every entry is kept, so memory grows with every row asked for;
 use a fresh instance per test module.
 """
 
-from pdocong import XiPoly, sigma_pair, zeta_initial
+from pdocong import XiPoly, sigma_pair, zeta, zeta_initial
+
+
+def zeta_combined(i, j):
+    """The four-term recurrence obtained by composing both step recurrences.
+
+    Only valid for i, j >= 2.
+    """
+    if i < 2 or j < 2:
+        raise ValueError(f"combined recurrence needs i, j >= 2, got ({i}, {j})")
+    sk, sx = sigma_pair("kappa"), sigma_pair("xi")
+    return (
+        (sx.sigma1 * sk.sigma1) * zeta(i - 1, j - 1)
+        - (sx.sigma2 * sk.sigma1) * zeta(i - 1, j - 2)
+        - (sx.sigma1 * sk.sigma2) * zeta(i - 2, j - 1)
+        + (sx.sigma2 * sk.sigma2) * zeta(i - 2, j - 2)
+    )
 
 
 class SparseZeta:
