@@ -29,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    common.add_argument("--order", type=int, default=None, help="truncation order override")
+    ordered = argparse.ArgumentParser(add_help=False)
+    ordered.add_argument("--order", type=int, default=None, help="truncation order override")
 
     parser = argparse.ArgumentParser(
         prog="pdocong",
@@ -38,10 +39,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pdo", parents=[common], help="print PDO(0..max)")
+    p = sub.add_parser("pdo", parents=[common, ordered], help="print PDO(0..max)")
     p.add_argument("--max", type=int, required=True, dest="max_n")
 
-    p = sub.add_parser("expand", parents=[common], help="expand an eta quotient")
+    p = sub.add_parser("expand", parents=[common, ordered], help="expand an eta quotient")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", choices=sorted(NAMED_SPECS))
     group.add_argument("--spec", help="semicolon factors, e.g. 4^1;6^2;1^-1;3^-1;12^-1")
@@ -59,7 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("valuations", parents=[common], help="2-adic valuation table of phi coefficients")
     p.add_argument("--k", type=int, nargs="+", required=True, help="odd levels, e.g. --k 3 5")
 
-    p = sub.add_parser("verify", parents=[common], help="verify a congruence family over a window")
+    p = sub.add_parser(
+        "verify", parents=[common, ordered], help="verify a congruence family over a window"
+    )
     p.add_argument("--family", choices=(*FAMILIES, "pair"), required=True)
     p.add_argument("--k", type=int, default=0, help="family level (main/corollary)")
     p.add_argument("--nmax", type=int, required=True, help="check all n with 0 <= n < nmax")
@@ -68,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhs", type=int, help="rhs stride (family=pair)")
     p.add_argument("--mod-exp", type=int, dest="mod_exp", help="modulus exponent (family=pair)")
 
-    p = sub.add_parser("scan", parents=[common], help="largest surviving 2-power modulus per stride pair")
+    p = sub.add_parser(
+        "scan", parents=[common, ordered], help="largest surviving 2-power modulus per stride pair"
+    )
     p.add_argument("--pairs", required=True, help="comma list of a:b pairs, e.g. 8:2,32:8")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--max-exp", type=int, default=12, dest="max_exp")
@@ -82,7 +87,7 @@ def parse_config(argv) -> RunConfig:
     command = params.pop("command")
     output_format = params.pop("format")
     out_path = params.pop("out")
-    order = params.pop("order")
+    order = params.pop("order", None)
     if order is not None and order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     return RunConfig(command, output_format, out_path, order, params)
@@ -208,6 +213,8 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
         lhs, rhs, mod_exp = (config.params[key] for key in ("lhs", "rhs", "mod_exp"))
         if lhs is None or rhs is None or mod_exp is None:
             raise ValueError("family=pair needs --lhs, --rhs and --mod-exp")
+        if mod_exp < 1:
+            raise ValueError(f"--mod-exp must be >= 1, got {mod_exp}")
         specs = [CongruenceSpec(lhs, rhs, 2**mod_exp, window)]
     else:
         level = config.params["alpha_max" if family == "ramanujan" else "k"]

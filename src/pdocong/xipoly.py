@@ -8,6 +8,10 @@ alpha(-q) for alpha in {kappa, xi}:
     zeta_{i,j} = sigma_{kappa,1} * zeta_{i-1,j} - sigma_{kappa,2} * zeta_{i-2,j}   (i >= 2)
     zeta_{i,j} = sigma_{xi,1}    * zeta_{i,j-1} - sigma_{xi,2}    * zeta_{i,j-2}   (j >= 2)
 
+An XiPoly is one dense row, since every polynomial the towers build fills its
+whole degree span; its products and powers are Series products of the rows,
+zero-padded so that truncation drops nothing.
+
 unitize(p, i) = U(kappa^i p(xi)) walks the rows zeta_{i,j} in j, two live at a
 time, from the columns zeta_{i,0}, zeta_{i,1}.  On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
@@ -21,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .etaq import xi_series
 from .series import Series
@@ -29,66 +33,82 @@ from .series import Series
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
 
-class XiPoly:
-    """Sparse polynomial in xi over exact integers; zero terms are never stored."""
+def _pad(start: int, coeffs: tuple[int, ...], low: int, high: int) -> tuple[int, ...]:
+    """coeffs placed from degree start on, zero-filled to cover degrees low .. high - 1."""
+    return (0,) * (start - low) + coeffs + (0,) * (high - start - len(coeffs))
 
-    __slots__ = ("_terms",)
+
+class XiPoly:
+    """Polynomial in xi over exact integers, stored as one dense row.
+
+    ``coeffs`` holds the coefficients of xi^low, xi^(low+1), ... and is trimmed
+    to its first and last nonzero entries; the zero polynomial is low 0 and
+    coeffs ().  Values are immutable after construction.
+    """
+
+    __slots__ = ("low", "coeffs")
 
     def __init__(self, terms: TermSource = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, int] = {}
-        for deg, coeff in items:
+        dense: list[int] = []
+        for deg, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if deg < 0:
                 raise ValueError(f"negative degree {deg}")
-            if coeff:
-                total = acc.get(deg, 0) + coeff
-                if total:
-                    acc[deg] = total
-                else:
-                    acc.pop(deg, None)
-        self._terms = acc
+            dense += [0] * (deg + 1 - len(dense))
+            dense[deg] += coeff
+        row = self._row(0, dense)
+        self.low, self.coeffs = row.low, row.coeffs
+
+    @classmethod
+    def _row(cls, low: int, coeffs: Sequence[int]) -> "XiPoly":
+        """sum_t coeffs[t] xi^(low + t), trimmed to its first and last nonzero entries."""
+        nonzero = [t for t, c in enumerate(coeffs) if c]
+        out = cls.__new__(cls)
+        if nonzero:
+            out.low, out.coeffs = low + nonzero[0], tuple(coeffs[nonzero[0] : nonzero[-1] + 1])
+        else:
+            out.low, out.coeffs = 0, ()
+        return out
 
     @classmethod
     def monomial(cls, degree: int, coeff: int = 1) -> "XiPoly":
         return cls({degree: coeff})
 
     def terms(self) -> tuple[tuple[int, int], ...]:
-        """(degree, coefficient) pairs, ascending in degree."""
-        return tuple(sorted(self._terms.items()))
+        """Nonzero (degree, coefficient) pairs, ascending in degree."""
+        return tuple((self.low + t, c) for t, c in enumerate(self.coeffs) if c)
 
     def coeff(self, degree: int) -> int:
-        return self._terms.get(degree, 0)
+        t = degree - self.low
+        return self.coeffs[t] if 0 <= t < len(self.coeffs) else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self.coeffs
 
     def degree(self) -> int | None:
         """Largest degree with a nonzero coefficient; None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
+        return self.low + len(self.coeffs) - 1 if self.coeffs else None
 
     def min_degree(self) -> int | None:
         """Smallest degree with a nonzero coefficient; None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        return self.low if self.coeffs else None
 
     def term_count(self) -> int:
-        return len(self._terms)
+        """Number of nonzero coefficients."""
+        return len(self.coeffs) - self.coeffs.count(0)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "XiPoly") -> "XiPoly":
         if not isinstance(other, XiPoly):
             return NotImplemented
-        acc = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            total = acc.get(deg, 0) + coeff
-            if total:
-                acc[deg] = total
-            else:
-                acc.pop(deg, None)
-        out = XiPoly()
-        out._terms = acc
-        return out
+        if not (self.coeffs and other.coeffs):
+            return self if self.coeffs else other
+        low = min(self.low, other.low)
+        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
+        a = _pad(self.low, self.coeffs, low, high)
+        b = _pad(other.low, other.coeffs, low, high)
+        return XiPoly._row(low, [x + y for x, y in zip(a, b)])
 
     def __sub__(self, other: "XiPoly") -> "XiPoly":
         if not isinstance(other, XiPoly):
@@ -96,45 +116,24 @@ class XiPoly:
         return self + (-other)
 
     def __neg__(self) -> "XiPoly":
-        out = XiPoly()
-        out._terms = {deg: -coeff for deg, coeff in self._terms.items()}
-        return out
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, int):
-            out = XiPoly()
-            if other:
-                out._terms = {deg: coeff * other for deg, coeff in self._terms.items()}
-            return out
+            return XiPoly._row(self.low, [c * other for c in self.coeffs])
         if not isinstance(other, XiPoly):
             return NotImplemented
-        acc: dict[int, int] = {}
-        for d1, c1 in self._terms.items():
-            for d2, c2 in other._terms.items():
-                deg = d1 + d2
-                total = acc.get(deg, 0) + c1 * c2
-                if total:
-                    acc[deg] = total
-                else:
-                    acc.pop(deg, None)
-        out = XiPoly()
-        out._terms = acc
-        return out
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        product = Series(_pad(0, self.coeffs, 0, n)) * Series(_pad(0, other.coeffs, 0, n))
+        return XiPoly._row(self.low + other.low, product.coeffs)
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "XiPoly":
         if not isinstance(e, int) or e < 0:
             return NotImplemented
-        result = XiPoly({0: 1})
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        n = e * (len(self.coeffs) - 1) + 1
+        return XiPoly._row(self.low * e, (Series(_pad(0, self.coeffs, 0, n)) ** e).coeffs)
 
     # -- serialization -------------------------------------------------------
 
@@ -145,21 +144,21 @@ class XiPoly:
 
     @classmethod
     def from_records(cls, records: Iterable[Mapping]) -> "XiPoly":
-        return cls({int(r["degree"]): int(r["coefficient"]) for r in records})
+        return cls((int(r["degree"]), int(r["coefficient"])) for r in records)
 
     # -- plumbing ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, XiPoly) and self._terms == other._terms
+        return isinstance(other, XiPoly) and (self.low, self.coeffs) == (other.low, other.coeffs)
 
     def __hash__(self) -> int:
-        return hash(self.terms())
+        return hash((self.low, self.coeffs))
 
     def __repr__(self) -> str:
         return f"XiPoly({dict(self.terms())!r})"
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.coeffs:
             return "0"
         parts = []
         for deg, coeff in self.terms():
@@ -209,28 +208,19 @@ def zeta_initial() -> dict[tuple[int, int], XiPoly]:
     }
 
 
-Row = tuple[int, tuple[int, ...]]  # (lowest degree, dense coefficients from there on)
-
-
-def _dense(p: XiPoly) -> Row:
-    return p.min_degree(), tuple(p.coeff(d) for d in range(p.min_degree(), p.degree() + 1))
-
-
-def _step(pair: SigmaPair, a: Row, b: Row) -> Row:
-    """sigma1 * a - sigma2 * b on dense rows, trimmed to its nonzero span."""
-    shifted = [(c, a[0] + e, a[1]) for e, c in pair.sigma1.terms()]
-    shifted += [(-c, b[0] + e, b[1]) for e, c in pair.sigma2.terms()]
+def _step(pair: SigmaPair, a: XiPoly, b: XiPoly) -> XiPoly:
+    """sigma1 * a - sigma2 * b, in one pass over the four shifted rows."""
+    shifted = [(c, a.low + e, a.coeffs) for e, c in pair.sigma1.terms()]
+    shifted += [(-c, b.low + e, b.coeffs) for e, c in pair.sigma2.terms()]
     low = min(s for _, s, _ in shifted)
     high = max(s + len(r) for _, s, r in shifted)
-    pad = [(0,) * (s - low) + r + (0,) * (high - s - len(r)) for _, s, r in shifted]
+    pad = [_pad(s, r, low, high) for _, s, r in shifted]
     # both sigma pairs have four terms in all, so one fused pass makes the step
     c0, c1, c2, c3 = [c for c, _, _ in shifted]
-    out = [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 for x0, x1, x2, x3 in zip(*pad)]
-    nonzero = [t for t, x in enumerate(out) if x]
-    return (low + nonzero[0], tuple(out[nonzero[0] : nonzero[-1] + 1])) if nonzero else (low, ())
+    return XiPoly._row(low, [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 for x0, x1, x2, x3 in zip(*pad)])
 
 
-def _walk(pair: SigmaPair, first: Row, second: Row) -> Iterator[Row]:
+def _walk(pair: SigmaPair, first: XiPoly, second: XiPoly) -> Iterator[XiPoly]:
     """Rows 0, 1, 2, ... of sigma1 * row_{n-1} - sigma2 * row_{n-2}, built on demand."""
     b, a = first, second
     yield b
@@ -240,10 +230,10 @@ def _walk(pair: SigmaPair, first: Row, second: Row) -> Iterator[Row]:
 
 
 @lru_cache(maxsize=4)
-def _columns(i: int) -> tuple[Row, Row]:
+def _columns(i: int) -> tuple[XiPoly, XiPoly]:
     """zeta_{i,0} and zeta_{i,1}, walked up the kappa recurrence."""
     init, kappa = zeta_initial(), _SIGMA["kappa"]
-    walks = (_walk(kappa, _dense(init[0, j]), _dense(init[1, j])) for j in (0, 1))
+    walks = (_walk(kappa, init[0, j], init[1, j]) for j in (0, 1))
     return tuple(next(islice(walk, i, None)) for walk in walks)
 
 
@@ -256,12 +246,13 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     if p.is_zero:
         return ZERO
     acc: list[int] = []  # indexed by degree; the zeros below the lowest row cost no arithmetic
-    for j, (s, row) in zip(range(p.degree() + 1), _walk(_SIGMA["xi"], *_columns(i))):
-        c = p.coeff(j)
+    rows = islice(_walk(_SIGMA["xi"], *_columns(i)), p.low, None)
+    for c, row in zip(p.coeffs, rows):
         if c:
-            acc += [0] * (s + len(row) - len(acc))
-            acc[s : s + len(row)] = [x + c * y for x, y in zip(acc[s : s + len(row)], row)]
-    return XiPoly(enumerate(acc))
+            s, r = row.low, row.coeffs
+            acc += [0] * (s + len(r) - len(acc))
+            acc[s : s + len(r)] = [x + c * y for x, y in zip(acc[s : s + len(r)], r)]
+    return XiPoly._row(0, acc)
 
 
 def zeta(i: int, j: int) -> XiPoly:
@@ -314,7 +305,7 @@ def phi_poly_direct(k: int) -> XiPoly:
     return lambda_poly(k + 2) - gamma6_poly() ** (2 ** (k - 3)) * lambda_poly(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _xi_power(order: int, degree: int) -> Series:
     if degree == 0:
         return Series.one(order)
@@ -326,9 +317,9 @@ def _xi_power(order: int, degree: int) -> Series:
 def poly_to_series(p: XiPoly, order: int) -> Series:
     """Substitute the q-expansion of xi into p, exactly, truncated to order.
 
-    Powers of xi are cached per order, so evaluating a whole family of
-    polynomials (the zeta cross-validation grid) costs one series product per
-    distinct degree.
+    The last 32 powers of xi are cached (the zeta cross-validation grid at one
+    order uses 16), so a family of polynomials evaluated in ascending degree
+    costs one series product per distinct degree.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

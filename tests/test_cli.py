@@ -257,6 +257,41 @@ def test_bad_order_exits_2(capsys):
     assert "order" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pdo", "--max", "3"],
+        ["expand", "--name", "xi"],
+        ["verify", "--family", "main", "--k", "1", "--nmax", "5"],
+        ["scan", "--pairs", "8:2", "--nmax", "5"],
+    ],
+)
+def test_order_applies_to_table_commands(argv):
+    assert parse_config([*argv, "--order", "700"]).order == 700
+
+
+@pytest.mark.parametrize(
+    "argv", [["zeta", "--i", "1", "--j", "2"], ["lambda", "--k", "3"], ["phi", "--k", "3"],
+             ["valuations", "--k", "3"]],
+)
+def test_order_is_refused_by_polynomial_commands(capsys, argv):
+    # these commands compute exact polynomials; no truncation order applies
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--order", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mod_exp", ["0", "-1"])
+def test_verify_pair_refuses_nonpositive_mod_exp(capsys, mod_exp):
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "pair", "--lhs", "32", "--rhs", "8", "--mod-exp", mod_exp,
+        "--nmax", "10",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --mod-exp must be >= 1, got {mod_exp}\n"
+
+
 def test_parse_config_shape():
     config = parse_config(["zeta", "--i", "2", "--j", "3", "--format", "json"])
     assert config.command == "zeta"

@@ -15,6 +15,7 @@ from pdocong import (
     tau,
     zeta,
 )
+from pdocong import padic
 from pdocong.padic import ProfileReport
 from records import profile_from_record
 
@@ -168,6 +169,44 @@ def test_check_f_profile_k9():
     assert report.passed
     assert report.base_degree == tau(9) == 854
     assert report.vals[:3] == (11, 11, 12)  # 2K+3 with K=4 at tau
+
+
+# zeta(6, 0) = -xi^15 + 450 xi^16 - 33600 xi^17 + 990080 xi^18 - ..., d_min 15
+@pytest.mark.parametrize(
+    "extra, failures",
+    [
+        ({15: 3}, ("nu(coeff at 15) = 1, expected 0",)),  # even leading coefficient
+        ({14: 1}, ("minimal degree 14 != d_min 15",)),  # a term below d_min
+        ({18: 1}, ("offset-3 valuation 0, expected >= 4",)),  # an offset under its bound
+        # the leading term cancelled: the read at d_min lies below the stored row
+        ({15: 1}, ("minimal degree 16 != d_min 15", "nu(coeff at 15) = inf, expected 0")),
+    ],
+)
+def test_check_z_profile_reports_perturbed_rows(monkeypatch, extra, failures):
+    perturbed = zeta(6, 0) + XiPoly(extra)
+    monkeypatch.setattr(padic, "zeta", lambda i, j: perturbed)
+    report = check_z_profile(6, 0)
+    assert report.verdict == "fail" and not report.passed
+    assert report.failures == failures
+
+
+# phi_poly(3) = 34012224 xi^14 - 396809280 xi^15 + 2061728640 xi^16 - ... + 2^26 xi^24, tau 14
+@pytest.mark.parametrize(
+    "extra, failures",
+    [
+        ({13: 2**10}, ("nonzero coefficient at degree 13 < tau 14",)),  # a term below tau
+        ({14: 2}, ("nu at tau = 1, expected >= 5",)),  # leading valuation under 2K+3
+        ({16: 8}, ("offset-2 valuation 3, expected >= 6",)),  # an offset under its bound
+        # a term past the degree: the reads between lie inside the row, as zeros
+        ({26: 2**5}, ("offset-12 valuation 5, expected >= 16",)),
+    ],
+)
+def test_check_f_profile_reports_perturbed_polynomials(monkeypatch, extra, failures):
+    perturbed = phi_poly(3) + XiPoly(extra)
+    monkeypatch.setattr(padic, "phi_poly", lambda k: perturbed)
+    report = check_f_profile(3)
+    assert report.verdict == "fail" and not report.passed
+    assert report.failures == failures
 
 
 def test_report_record_round_trip():

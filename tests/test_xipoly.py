@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import pdocong
+from pdocong import series
 from pdocong import (
     Series,
     XiPoly,
@@ -18,7 +25,8 @@ from pdocong import (
     zeta,
     zeta_initial,
 )
-from pdocong.xipoly import ONE, ZERO
+from pdocong.xipoly import ONE, ZERO, _xi_power
+from naive_series import poly_mul
 from zeta_oracle import zeta_combined
 
 LAMBDA_2 = XiPoly({2: 3, 3: -2})
@@ -77,12 +85,25 @@ def test_poly_scalar_and_pow():
     assert p * 0 == ZERO
     assert p**0 == ONE
     assert p**2 == p * p
+    assert ZERO**0 == ONE and ZERO**1 == ZERO and ZERO**7 == ZERO
 
 
 def test_poly_never_stores_zeros():
     p = XiPoly({0: 1, 5: 0}) + XiPoly({0: -1})
     assert p.terms() == ()
     assert p.degree() is None and p.min_degree() is None
+
+
+def test_poly_row_keeps_interior_zeros_out_of_terms():
+    p = XiPoly({0: 1, 5: 1})
+    assert p.terms() == ((0, 1), (5, 1))
+    assert p.term_count() == 2
+    assert (p.min_degree(), p.degree()) == (0, 5)
+    assert [p.coeff(d) for d in range(-2, 8)] == [0, 0, 1, 0, 0, 0, 0, 1, 0, 0]
+    q = XiPoly([(9, 4), (3, -1), (9, -4), (6, 2)])  # pairs, with a cancelled top term
+    assert q.terms() == ((3, -1), (6, 2))
+    assert q.term_count() == 2 and q.degree() == 6
+    assert XiPoly([(4, 1), (4, -1)]) == ZERO and ZERO.term_count() == 0
 
 
 def test_poly_rejects_negative_degree():
@@ -291,6 +312,73 @@ def test_poly_ring_laws(a, b, c):
     assert (pa * pb) * pc == pa * (pb * pc)
     assert pa * (pb + pc) == pa * pb + pa * pc
     assert pa + pb == pb + pa
+
+
+def dense(p, size):
+    """Coefficients of p at degrees 0 .. size - 1, read one by one."""
+    return [p.coeff(d) for d in range(size)]
+
+
+gappy_terms = st.dictionaries(st.integers(0, 40), st.integers(-3, 3), max_size=10)
+
+
+@given(gappy_terms, gappy_terms)
+def test_poly_row_matches_naive_arithmetic(a, b):
+    pa, pb = XiPoly(a), XiPoly(b)
+    assert pa.terms() == tuple(sorted((d, c) for d, c in a.items() if c))
+    assert pa.term_count() == sum(1 for c in a.values() if c)
+    assert dense(pa * pb, 81) == poly_mul(dense(pa, 41), dense(pb, 41), 81)
+    assert dense(pa + pb, 41) == [x + y for x, y in zip(dense(pa, 41), dense(pb, 41))]
+    # equal values built by different routes are equal and hash alike
+    rebuilt = XiPoly([*a.items(), (50, 1), (50, -1)])
+    assert rebuilt == pa and hash(rebuilt) == hash(pa)
+    assert (pa + pb) - pb == pa and hash((pa + pb) - pb) == hash(pa)
+    assert (pa == pb) == (dense(pa, 41) == dense(pb, 41))
+
+
+@given(gappy_terms, st.sampled_from([0, 1, 7]))
+def test_poly_pow_is_repeated_multiplication(a, e):
+    p = XiPoly(a)
+    power = ONE
+    for _ in range(e):
+        power = power * p
+    assert p**e == power
+
+
+def test_dense_poly_products_take_the_kernel(monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a))
+        return kronecker(a, b)
+
+    kronecker = series._kronecker
+    monkeypatch.setattr(series, "_kronecker", spy)
+    # 70 nonzero terms with gaps at every fifth degree, times a gap-free row
+    a = XiPoly({3 + d: (-1) ** d * (d + 1) for d in range(88) if d % 5})
+    b = XiPoly({d: d % 11 - 5 or 7 for d in range(1, 100)})
+    assert a.term_count() == 70 and b.term_count() == 99
+    assert dense(a * b, 190) == poly_mul(dense(a, 91), dense(b, 100), 190)
+    assert dense(a**2, 180) == poly_mul(dense(a, 91), dense(a, 91), 180)
+    # rows of 87 and 99 slots, padded to the product's length: 87 + 99 - 1 and 2 * 86 + 1
+    assert calls == [185, 173]
+
+
+def test_xi_power_cache_is_bounded():
+    _xi_power.cache_clear()
+    p = XiPoly({d: 1 for d in range(40)})
+    x = xi_series(30)
+    assert poly_to_series(p, 30) == sum((x**d for d in range(1, 40)), Series.one(30))
+    info = _xi_power.cache_info()
+    assert info.maxsize == 32 and info.currsize == 32
+
+
+def test_import_loads_no_decimal():
+    # dense products load decimal on first use; importing the package must not
+    env = {**os.environ, "PYTHONPATH": str(Path(pdocong.__file__).parents[1])}
+    code = "import sys, pdocong; print('decimal' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, "False")
 
 
 @given(poly_terms)
