@@ -64,9 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common, ordered], help="verify a congruence family over a window"
     )
     p.add_argument("--family", choices=(*FAMILIES, "pair"), required=True)
-    p.add_argument("--k", type=int, default=0, help="family level (main/corollary)")
+    p.add_argument("--k", type=int, help="family level (main/corollary/strengthened), default 0")
     p.add_argument("--nmax", type=int, required=True, help="check all n with 0 <= n < nmax")
-    p.add_argument("--alpha-max", type=int, default=0, dest="alpha_max")
+    p.add_argument("--alpha-max", type=int, dest="alpha_max", help="top alpha (ramanujan), default 0")
     p.add_argument("--lhs", type=int, help="lhs stride (family=pair)")
     p.add_argument("--rhs", type=int, help="rhs stride (family=pair)")
     p.add_argument("--mod-exp", type=int, dest="mod_exp", help="modulus exponent (family=pair)")
@@ -203,9 +203,21 @@ def _cmd_valuations(config: RunConfig) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+# the verify flags each family reads; any other one given is refused
+_FAMILY_FLAGS = {family: ("k",) for family in FAMILIES}
+_FAMILY_FLAGS.update(ramanujan=("alpha_max",), pair=("lhs", "rhs", "mod_exp"))
+
+
 def _cmd_verify(config: RunConfig) -> tuple[int, str]:
     family = config.params["family"]
     nmax = config.params["nmax"]
+    ignored = [
+        "--" + key.replace("_", "-")
+        for key in ("k", "alpha_max", "lhs", "rhs", "mod_exp")
+        if config.params[key] is not None and key not in _FAMILY_FLAGS[family]
+    ]
+    if ignored:
+        raise ValueError(f"--family {family} takes no {', '.join(ignored)}")
     if nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {nmax}")
     window = (0, nmax)
@@ -217,8 +229,9 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
             raise ValueError(f"--mod-exp must be >= 1, got {mod_exp}")
         specs = [CongruenceSpec(lhs, rhs, 2**mod_exp, window)]
     else:
-        level = config.params["alpha_max" if family == "ramanujan" else "k"]
-        specs = FAMILIES[family](level, window)
+        [flag] = _FAMILY_FLAGS[family]
+        level = config.params[flag]
+        specs = FAMILIES[family](0 if level is None else level, window)
     needed = max(spec.max_index(nmax - 1) for spec in specs) + 1
     table = pdo_series(_required_order(config, needed))
     reports = [verify(spec, table) for spec in specs]

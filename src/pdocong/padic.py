@@ -173,9 +173,9 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
 
     Verifies vanishing below tau(k), nu(F_k(tau_k)) >= 2K+3, and
     nu(F_k(tau_k + M)) >= 2K+M+2 for every further coefficient.  Measured
-    cold on one Xeon core with CPython 3.11: about 0.04 s at k = 7, 1.3 s at
-    k = 9 and 90 s at k = 11 (phi_poly(10) alone takes 10 s), in under 40 MB;
-    each level costs roughly 8x the previous one.  The guard max_k stays 5
+    cold on one Xeon core with CPython 3.11: about 0.03 s at k = 7, 0.75 s at
+    k = 9 and 67 s at k = 11 (phi_poly(10) alone takes 7 s), in under 40 MB;
+    each level costs roughly 9x the previous one.  The guard max_k stays 5
     until these costs become input budgets.
     """
     if k % 2 == 0 or k < 3:

@@ -17,9 +17,9 @@ coefficients.  The module loads ``decimal`` on the first dense product only.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, count
-from operator import itemgetter
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, sub
+from typing import Iterable, Iterator, Sequence
 
 
 class NonUnitError(ValueError):
@@ -44,16 +44,15 @@ KRONECKER_MIN_TERMS = 64
 KRONECKER_SPARSITY = 10
 
 
-def _walk(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The truncated product of two equal-length coefficient tuples, a the sparser.
+def _walk(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
+    """Coefficients 0 .. order - 1 of the product of two coefficient tuples, a the sparser.
 
     ``a`` runs on the outside and the inner walk visits only b's nonzero
     terms, in ascending offset; +-1 coefficients of ``a`` skip the multiply.
     """
-    order = len(a)
     inner = [(j, d) for j, d in enumerate(b) if d]
     out = [0] * order
-    for i, c in enumerate(a):
+    for i, c in enumerate(a[:order]):
         if not c:
             continue
         room = order - i
@@ -75,36 +74,60 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The truncated product of two equal-length coefficient tuples, by one
-    big-number multiplication (Kronecker substitution).
+def _trim(a: tuple[int, ...], order: int) -> tuple[int, ...]:
+    """a cut to its first ``order`` entries, then to its last nonzero one."""
+    n = min(len(a), order)
+    while n and not a[n - 1]:
+        n -= 1
+    return a[:n]
 
-    Each tuple is biased by its own largest |c|, so every coefficient is
-    nonnegative, and packed into one decimal string with slots of ``width``
+
+def _windows(values: Sequence[int], order: int, span: int) -> Iterator[int]:
+    """w_k = the sum of values[i] over k - span < i <= k, for 0 <= k < order."""
+    prefix = list(accumulate(chain(values, repeat(0, order - len(values)))))
+    if span >= order:
+        return iter(prefix)
+    return map(sub, prefix, chain(repeat(0, span), prefix))
+
+
+def _kronecker(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
+    """Coefficients 0 .. order - 1 of the product of two coefficient tuples, by
+    one big-number multiplication (Kronecker substitution).
+
+    Each tuple is cut to its last nonzero coefficient below ``order``, so zero
+    padding costs nothing, biased by its own largest |c|, so every coefficient
+    is nonnegative, and packed into one decimal string with slots of ``width``
     digits, highest power first.  A slot of the biased product is a sum of at
-    most ``order`` terms, each below 4 |a|max |b|max, so 10^width > 4 |a|max
-    |b|max order keeps the slots from carrying into each other.  The multiply
-    runs in libmpdec, CPython's decimal library, which switches to a
-    number-theoretic transform for large operands.  Its private context has the
-    largest precision and exponent range and traps rounding, so a product that
-    does not fit raises instead of losing digits; the thread's current decimal
-    context is never read.  The bias comes off exactly with prefix sums:
+    most min(len(a), len(b)) terms, each below 4 |a|max |b|max, so
+    10^width > 4 |a|max |b|max min(len(a), len(b)) keeps the slots from
+    carrying into each other.  The multiply runs in libmpdec, CPython's decimal
+    library, which switches to a number-theoretic transform for large
+    operands.  Its private context has the largest precision and exponent range
+    and traps rounding, so a product that does not fit raises instead of losing
+    digits; the thread's current decimal context is never read.  The bias comes
+    off exactly with window sums:
 
-        c_k = slot_k - |b|max A_k - |a|max B_k - |a|max |b|max (k + 1),
+        c_k = slot_k - |b|max A_k - |a|max B_k,
 
-    with A_k, B_k the prefix sums of a and b.  Slots wider than the interpreter
-    allows for int/str conversion go to the walk instead.
+    with A_k the sum of the biased a_i and B_k the sum of the b_j over the
+    pairs i + j = k.  Slots wider than the interpreter allows for int/str
+    conversion go to the walk instead.  When ``b is a`` the operand is packed
+    once.
     """
     import decimal  # only dense products load it; `import pdocong` stays without
 
-    order = len(a)
+    same = b is a
+    a = _trim(a, order)
+    b = a if same else _trim(b, order)
+    if not (a and b):
+        return [0] * order
     max_a = max(map(abs, a))
     max_b = max(map(abs, b))
-    # 30103/100000 > log10(2), so 10^width > 2^bits > 4 max_a max_b order
-    width = (4 * max_a * max_b * order).bit_length() * 30103 // 100000 + 1
+    # 30103/100000 > log10(2), so 10^width > 2^bits > 4 max_a max_b min(len(a), len(b))
+    width = (4 * max_a * max_b * min(len(a), len(b))).bit_length() * 30103 // 100000 + 1
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and width > limit:
-        return _walk(a, b)
+        return _walk(a, b, order)
     context = decimal.Context(
         prec=decimal.MAX_PREC,
         Emax=decimal.MAX_EMAX,
@@ -112,16 +135,28 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
         traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
     )
     slot = f"%0{width}d"
-    x = context.create_decimal("".join([slot % (c + max_a) for c in reversed(a)]))
-    y = x if b is a else context.create_decimal("".join([slot % (c + max_b) for c in reversed(b)]))
+    biased_a = [c + max_a for c in a]
+    x = context.create_decimal("".join([slot % c for c in reversed(biased_a)]))
+    y = x if same else context.create_decimal("".join([slot % (c + max_b) for c in reversed(b)]))
     size = order * width
     digits = context.to_sci_string(context.multiply(x, y))[-size:].zfill(size)
     slots = [int(digits[i - width : i]) for i in range(size, 0, -width)]
-    both = max_a * max_b
     return [
-        s - max_b * pa - max_a * pb - both * k
-        for s, pa, pb, k in zip(slots, accumulate(a), accumulate(b), count(1))
+        s - max_b * wa - max_a * wb
+        for s, wa, wb in zip(slots, _windows(biased_a, order, len(b)), _windows(b, order, len(a)))
     ]
+
+
+def _product(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
+    """Coefficients 0 .. order - 1 of the product of two coefficient tuples, on
+    the walk or the Kronecker kernel by the sparser operand's nonzero count."""
+    terms_a = _nonzero_count(a)
+    terms_b = _nonzero_count(b)
+    if terms_b < terms_a:
+        a, b, terms_a = b, a, terms_b
+    if terms_a >= KRONECKER_MIN_TERMS and terms_a * terms_a >= KRONECKER_SPARSITY * order:
+        return _kronecker(a, b, order)
+    return _walk(a, b, order)
 
 
 class Series:
@@ -182,15 +217,7 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         order = min(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs[:order]
-        b = other.coeffs[:order]
-        terms_a = _nonzero_count(a)
-        terms_b = _nonzero_count(b)
-        if terms_b < terms_a:
-            a, b, terms_a = b, a, terms_b
-        if terms_a >= KRONECKER_MIN_TERMS and terms_a * terms_a >= KRONECKER_SPARSITY * order:
-            return Series(_kronecker(a, b))
-        return Series(_walk(a, b))
+        return Series(_product(self.coeffs[:order], other.coeffs[:order], order))
 
     __rmul__ = __mul__
 

@@ -1,19 +1,30 @@
 """Polynomial algebra in the Hauptmodul xi.
 
 The degree-two unitization zeta_{i,j} = U(kappa^i xi^j) lands in Z[xi] for all
-i, j >= 0.  Six initial unitizations are known exactly; everything else follows
-from two linear recurrences built on the symmetric functions of alpha(q) and
-alpha(-q) for alpha in {kappa, xi}:
+i, j >= 0.  Six initial unitizations are known exactly.  Since
 
-    zeta_{i,j} = sigma_{kappa,1} * zeta_{i-1,j} - sigma_{kappa,2} * zeta_{i-2,j}   (i >= 2)
-    zeta_{i,j} = sigma_{xi,1}    * zeta_{i,j-1} - sigma_{xi,2}    * zeta_{i,j-2}   (j >= 2)
+    zeta_{i,j}(xi(q^2)) = (kappa(q)^i xi(q)^j + kappa(-q)^i xi(-q)^j) / 2,
+
+with kappa(q) kappa(-q) = xi(q^2)^5 and xi(q) xi(-q) = 9 xi(q^2) - 8 xi(q^2)^2,
+everything else follows from two exact rules: the linear recurrence in j built
+on the symmetric functions of xi(q) and xi(-q),
+
+    zeta_{i,j} = sigma_{xi,1} * zeta_{i,j-1} - sigma_{xi,2} * zeta_{i,j-2}   (j >= 2),
+
+and the doubling identity, for a >= c and b >= d,
+
+    zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
 
 An XiPoly is one dense row, since every polynomial the towers build fills its
-whole degree span; its products and powers are Series products of the rows,
-zero-padded so that truncation drops nothing.
+whole degree span.  A product of two rows runs, unpadded, on the walk or the
+Kronecker kernel that Series products use; a power is the Series power of the
+row.
 
 unitize(p, i) = U(kappa^i p(xi)) walks the rows zeta_{i,j} in j, two live at a
-time, from the columns zeta_{i,0}, zeta_{i,1}.  On top of it sit two towers:
+time, from the pair zeta_{i,j0}, zeta_{i,j0+1} at the multiple j0 of 32 at or
+below p's lowest degree; the pair comes from halving (i, j0) down to the
+initial table with the doubling identity, so no recurrence runs through every
+smaller i or through the rows below j0.  On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
 phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
 q^n.  Every polynomial here converts back to a q-series through poly_to_series
@@ -22,13 +33,16 @@ for cross-validation against direct unitization.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
+from math import comb
+from threading import Lock
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .etaq import xi_series
-from .series import Series
+from .series import Series, _product
 
 TermSource = Union[Mapping[int, int], Iterable[tuple[int, int]]]
 
@@ -124,8 +138,7 @@ class XiPoly:
         if not isinstance(other, XiPoly):
             return NotImplemented
         n = len(self.coeffs) + len(other.coeffs) - 1
-        product = Series(_pad(0, self.coeffs, 0, n)) * Series(_pad(0, other.coeffs, 0, n))
-        return XiPoly._row(self.low + other.low, product.coeffs)
+        return XiPoly._row(self.low + other.low, _product(self.coeffs, other.coeffs, n))
 
     __rmul__ = __mul__
 
@@ -229,24 +242,76 @@ def _walk(pair: SigmaPair, first: XiPoly, second: XiPoly) -> Iterator[XiPoly]:
         b, a = a, _step(pair, a, b)
 
 
-@lru_cache(maxsize=4)
-def _columns(i: int) -> tuple[XiPoly, XiPoly]:
-    """zeta_{i,0} and zeta_{i,1}, walked up the kappa recurrence."""
-    init, kappa = zeta_initial(), _SIGMA["kappa"]
-    walks = (_walk(kappa, init[0, j], init[1, j]) for j in (0, 1))
-    return tuple(next(islice(walk, i, None)) for walk in walks)
+# unitize(p, i) starts its walk at the pair (i, j0) for the multiple j0 of
+# _PAIR_STRIDE at or below p.low, so the small-j cells of zeta share (i, 0)
+_PAIR_STRIDE = 32
+
+
+def _sigma_power(shift: int, d: int) -> XiPoly:
+    """xi^shift * (9 - 8 xi)^d, the binomial coefficients in closed form."""
+    return XiPoly._row(shift, [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)])
+
+
+def _times(x: XiPoly, y: XiPoly) -> XiPoly:
+    """x * y, squared when both are the same row so the kernel packs it once."""
+    return x**2 if x is y else x * y
+
+
+@lru_cache(maxsize=8)
+def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
+    """zeta_{i,j} and zeta_{i,j+1}, by halving (i, j) down to the initial table.
+
+    Multiplying out the halves of zeta_{a,b} zeta_{c,d} (module docstring),
+    the cross terms are (kappa(q) kappa(-q))^c (xi(q) xi(-q))^d times the halves
+    of zeta_{a-c,b-d}, with kappa(q) kappa(-q) = xi^5 and
+    xi(q) xi(-q) = sigma_{xi,2} = 9 xi - 8 xi^2 in the variable xi(q^2).  So for
+    a >= c and b >= d
+
+        zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
+
+    Taking c = floor(m/2), d = floor(n/2) for the target (m, n) leaves
+    a - c and b - d in {0, 1}, so the last factor is an initial value, and the
+    pair at (m, n) needs only the pairs at (c, floor(n/2)) and, for odd m,
+    (c + 1, floor(n/2)).  Level by level the ladder keeps at most two pairs,
+    for adjacent i, from (i, j) down to i <= 1, j = 0.
+    """
+    init = zeta_initial()
+    # needs[level]: the i' whose pairs (i', j >> level) the level above reads
+    needs = [{i}]
+    while max(needs[-1]) > 1 or j >> (len(needs) - 1):
+        needs.append({m >> 1 for m in needs[-1]} | {(m >> 1) + 1 for m in needs[-1] if m & 1})
+    pairs = {m: (init[m, 0], init[m, 1]) for m in needs.pop()}
+    while needs:
+        n = j >> (len(needs) - 1)
+        g = n >> 1
+        doubled = {}
+        for m in needs.pop():
+            c, r = m >> 1, m & 1
+            low, high = pairs[c]  # zeta_{c,g}, zeta_{c,g+1}
+            a_low, a_high = pairs[c + r]  # zeta_{a,g}, zeta_{a,g+1} with a = m - c
+            if n & 1:  # n = 2g + 1 = (g + 1) + g and n + 1 = (g + 1) + (g + 1)
+                first = 2 * _times(a_high, low) - _sigma_power(5 * c + g, g) * init[r, 1]
+                second = 2 * _times(a_high, high) - _sigma_power(5 * c + g + 1, g + 1) * init[r, 0]
+            else:  # n = g + g and n + 1 = (g + 1) + g
+                first = 2 * _times(a_low, low) - _sigma_power(5 * c + g, g) * init[r, 0]
+                second = 2 * _times(a_high, low) - _sigma_power(5 * c + g, g) * init[r, 1]
+            doubled[m] = (first, second)
+        pairs = doubled
+    return pairs[i]
 
 
 def unitize(p: XiPoly, i: int) -> XiPoly:
     """U(kappa^i p(xi)) = sum_j c_j zeta_{i,j} for p = sum_j c_j xi^j.
 
-    Walks the xi recurrence in j up from the cached columns zeta_{i,0} and
-    zeta_{i,1}, two rows live, adding each c_j * zeta_{i,j} into one dense list.
+    Walks the xi recurrence in j up from the pair zeta_{i,j0}, zeta_{i,j0+1},
+    j0 the multiple of 32 at or below p's lowest degree, two rows live, adding
+    each c_j * zeta_{i,j} into one dense list.
     """
     if p.is_zero:
         return ZERO
+    j0 = p.low - p.low % _PAIR_STRIDE
     acc: list[int] = []  # indexed by degree; the zeros below the lowest row cost no arithmetic
-    rows = islice(_walk(_SIGMA["xi"], *_columns(i)), p.low, None)
+    rows = islice(_walk(_SIGMA["xi"], *_pair(i, j0)), p.low - j0, None)
     for c, row in zip(p.coeffs, rows):
         if c:
             s, r = row.low, row.coeffs
@@ -305,21 +370,42 @@ def phi_poly_direct(k: int) -> XiPoly:
     return lambda_poly(k + 2) - gamma6_poly() ** (2 ** (k - 3)) * lambda_poly(k)
 
 
-@lru_cache(maxsize=32)
+# (order, degree) -> xi(q)^degree truncated to order, the last 32 used
+_XI_POWERS: OrderedDict[tuple[int, int], Series] = OrderedDict()
+_XI_POWERS_MAXSIZE = 32
+_XI_POWERS_LOCK = Lock()
+
+
 def _xi_power(order: int, degree: int) -> Series:
-    if degree == 0:
-        return Series.one(order)
-    if degree == 1:
-        return xi_series(order)
-    return _xi_power(order, degree - 1) * xi_series(order)
+    """xi(q)^degree truncated to order.
+
+    A miss multiplies up from the highest power kept below degree at this
+    order (or from 1), one product per degree in a loop, and keeps each
+    positive power it passes; the least recently used ones beyond 32 are
+    dropped.
+    """
+    with _XI_POWERS_LOCK:
+        power = _XI_POWERS.get((order, degree))
+        if power is not None:
+            _XI_POWERS.move_to_end((order, degree))
+            return power
+        start = max((d for o, d in _XI_POWERS if o == order and d < degree), default=0)
+        power = _XI_POWERS[order, start] if start else Series.one(order)
+        xi = xi_series(order)
+        for d in range(start + 1, degree + 1):
+            power = power * xi
+            _XI_POWERS[order, d] = power
+            if len(_XI_POWERS) > _XI_POWERS_MAXSIZE:
+                _XI_POWERS.popitem(last=False)
+        return power
 
 
 def poly_to_series(p: XiPoly, order: int) -> Series:
     """Substitute the q-expansion of xi into p, exactly, truncated to order.
 
     The last 32 powers of xi are cached (the zeta cross-validation grid at one
-    order uses 16), so a family of polynomials evaluated in ascending degree
-    costs one series product per distinct degree.
+    order uses degrees 1 to 15), so a family of polynomials evaluated in
+    ascending degree costs one series product per distinct degree.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")

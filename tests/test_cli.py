@@ -213,6 +213,33 @@ def test_verify_json_matches_library(capsys, table_8000, family):
     assert json.loads(out) == [{**r.to_record(), "truncation_order": order} for r in reports]
 
 
+@pytest.mark.parametrize(
+    "family, flags, named",
+    [
+        ("ramanujan", ["--k", "5"], "--k"),
+        ("pair", ["--lhs", "4", "--rhs", "1", "--mod-exp", "2", "--k", "1"], "--k"),
+        ("main", ["--alpha-max", "2"], "--alpha-max"),
+        ("corollary", ["--k", "1", "--alpha-max", "0"], "--alpha-max"),
+        ("strengthened", ["--alpha-max", "1"], "--alpha-max"),
+        ("pair", ["--lhs", "4", "--rhs", "1", "--mod-exp", "2", "--alpha-max", "0"], "--alpha-max"),
+        ("main", ["--k", "1", "--lhs", "4"], "--lhs"),
+        ("strengthened", ["--rhs", "1"], "--rhs"),
+        ("ramanujan", ["--mod-exp", "3"], "--mod-exp"),
+        ("corollary", ["--lhs", "4", "--rhs", "1", "--mod-exp", "3"], "--lhs, --rhs, --mod-exp"),
+    ],
+)
+def test_verify_refuses_flags_the_family_ignores(capsys, family, flags, named):
+    code, out, err = run_cli(capsys, "verify", "--family", family, *flags, "--nmax", "10")
+    assert (code, out) == (2, "")
+    assert err == f"error: --family {family} takes no {named}\n"
+
+
+def test_verify_levels_default_to_zero(capsys):
+    for family, flag in (("corollary", "--k"), ("strengthened", "--k"), ("ramanujan", "--alpha-max")):
+        given = run_cli(capsys, "verify", "--family", family, flag, "0", "--nmax", "20")
+        assert run_cli(capsys, "verify", "--family", family, "--nmax", "20") == given
+
+
 def test_verify_pair_missing_args_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--family", "pair", "--nmax", "10")
     assert code == 2

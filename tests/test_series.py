@@ -155,18 +155,31 @@ def test_mul_matches_naive_product_on_sparse_operands(a, b):
 def test_kronecker_matches_naive_product(a, b):
     order = min(len(a), len(b))
     want = poly_mul(a, b, order)
-    assert _kronecker(tuple(a[:order]), tuple(b[:order])) == want
+    assert _kronecker(tuple(a[:order]), tuple(b[:order]), order) == want
     assert list(Series(a) * Series(b)) == want
     square = tuple(a)
-    assert _kronecker(square, square) == poly_mul(a, a, len(a))
+    assert _kronecker(square, square, len(a)) == poly_mul(a, a, len(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_operands, kernel_operands, st.integers(0, 8), st.integers(1, 300))
+def test_kronecker_takes_unequal_lengths_and_any_order(a, b, zeros, order):
+    # operands of different lengths, one with trailing zeros, cut at any order
+    # up to past the full product length
+    a = a + [0] * zeros
+    want = poly_mul(a + [0] * order, b + [0] * order, order)
+    assert _kronecker(tuple(a), tuple(b), order) == want
+    assert _kronecker(tuple(b), tuple(a), order) == want
+    square = tuple(a)
+    assert _kronecker(square, square, order) == poly_mul(a + [0] * order, a + [0] * order, order)
 
 
 def test_products_switch_to_the_kernel_at_the_threshold(monkeypatch):
     calls = []
 
-    def spy(a, b):
+    def spy(a, b, order):
         calls.append((len(a), sum(1 for c in a if c)))
-        return _kronecker(a, b)
+        return _kronecker(a, b, order)
 
     monkeypatch.setattr(series, "_kronecker", spy)
     dense = [(-1) ** n * (n + 1) for n in range(KRONECKER_MIN_TERMS)]
@@ -193,14 +206,14 @@ def test_products_of_huge_coefficients_fall_back_to_the_walk():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        assert _kronecker(tuple(a), tuple(b)) == want
+        assert _kronecker(tuple(a), tuple(b), order) == want
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_sparse_products_stay_on_the_walk(monkeypatch):
-    def refuse(a, b):
-        raise AssertionError(f"sparse product sent to the kernel at order {len(a)}")
+    def refuse(a, b, order):
+        raise AssertionError(f"sparse product sent to the kernel at order {order}")
 
     monkeypatch.setattr(series, "_kronecker", refuse)
     expand.cache_clear()

@@ -1,9 +1,10 @@
-"""The streaming unitize against the memoized sparse builder in zeta_oracle."""
+"""The streaming unitize and its doubling ladder against the memoized sparse
+builder in zeta_oracle."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdocong import XiPoly, lambda_poly, phi_poly, zeta, zeta_initial
+from pdocong import XiPoly, lambda_poly, phi_poly, xipoly, zeta, zeta_initial
 from pdocong.xipoly import ONE, ZERO, unitize
 from zeta_oracle import SparseZeta
 
@@ -57,3 +58,57 @@ def test_unitize_low_rows_come_from_initial_table():
 def test_unitize_matches_sparse_sum(oracle, terms, i):
     p = XiPoly(terms)
     assert unitize(p, i) == oracle.unitize(p, i)
+
+
+# the ladder's cells: small i and j, odd and even i around powers of two, and
+# the j at which the top phi and lambda levels start (427 for phi_8, lambda_10)
+PAIR_I = [*range(18), 31, 33, 127, 128, 255, 256]
+PAIR_J = [*range(14), 100, 213, 427, 428]
+
+
+@pytest.mark.parametrize("i", PAIR_I)
+def test_pair_matches_sparse_builder(i):
+    # a fresh oracle per i, so its memo holds one row of cells at a time
+    rows = SparseZeta()
+    for j in PAIR_J:
+        assert xipoly._pair(i, j) == (rows(i, j), rows(i, j + 1)), (i, j)
+
+
+@pytest.mark.parametrize("low", [30, 31, 32, 33, 64])
+def test_unitize_across_the_pair_stride(oracle, low):
+    # p starts just below, at and just above a multiple of 32
+    p = XiPoly({low: 3, low + 1: -5, low + 4: 7})
+    for i in (0, 1, 3, 64):
+        assert unitize(p, i) == oracle.unitize(p, i), (low, i)
+
+
+@pytest.mark.parametrize("low, size", [(0, 1), (5, 3), (31, 1), (32, 1), (33, 4), (64, 40), (427, 6)])
+def test_unitize_walks_from_the_stride_below_p(monkeypatch, low, size):
+    starts, steps = [], []
+    pair, step = xipoly._pair, xipoly._step
+    monkeypatch.setattr(xipoly, "_pair", lambda i, j: starts.append(j) or pair(i, j))
+    monkeypatch.setattr(xipoly, "_step", lambda *rows: steps.append(1) or step(*rows))
+    p = XiPoly({low + t: t + 1 for t in range(size)})
+    unitize(p, 5)
+    j0 = low - low % 32
+    assert starts == [j0]
+    # the rows j0 .. low + size - 1, the first two from the pair
+    assert len(steps) == max(0, low + size - 1 - j0 - 1)
+
+
+def test_pair_cache_is_bounded():
+    xipoly._pair.cache_clear()
+    for i in range(12):
+        zeta(i, 40)
+    info = xipoly._pair.cache_info()
+    assert info.maxsize == 8 and info.currsize == 8
+
+
+def test_top_phi_and_lambda_levels_share_one_pair():
+    # phi_9 and lambda_11 both unitize against kappa^256 from degree 427
+    assert phi_poly(8).low == lambda_poly(10).low == 427
+    xipoly._pair.cache_clear()
+    phi_poly.__wrapped__(9)
+    lambda_poly.__wrapped__(11)
+    info = xipoly._pair.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

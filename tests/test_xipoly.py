@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pdocong
-from pdocong import series
+from pdocong import series, xipoly
 from pdocong import (
+    XI,
     Series,
     XiPoly,
     delta_series,
@@ -25,8 +26,8 @@ from pdocong import (
     zeta,
     zeta_initial,
 )
-from pdocong.xipoly import ONE, ZERO, _xi_power
-from naive_series import poly_mul
+from pdocong.xipoly import ONE, ZERO
+from naive_series import expand_quotient, poly_mul
 from zeta_oracle import zeta_combined
 
 LAMBDA_2 = XiPoly({2: 3, 3: -2})
@@ -263,11 +264,11 @@ def test_phi3_q_level():
 
 def test_zeta_table_is_safe_under_concurrent_access():
     # the zeta grid and a phi level from several threads, racing on the shared
-    # column cache, must agree with the values computed serially
+    # pair cache, must agree with the values computed serially
     import sys
     import threading
 
-    from pdocong.xipoly import _columns
+    from pdocong.xipoly import _pair
 
     grid = [(i, j) for i in range(10) for j in range(10)]
     serial = {key: zeta(*key) for key in grid}
@@ -278,10 +279,10 @@ def test_zeta_table_is_safe_under_concurrent_access():
         for key in chunk:
             results[key] = zeta(*key)
         if with_phi:
-            # the uncached last level, so it walks the columns for i = 64
+            # the uncached last level, so it builds a pair for i = 64
             results["phi 7"] = phi_poly.__wrapped__(7)
 
-    _columns.cache_clear()
+    _pair.cache_clear()
     threads = [threading.Thread(target=worker, args=(grid[k::4], k == 0)) for k in range(4)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -348,9 +349,9 @@ def test_poly_pow_is_repeated_multiplication(a, e):
 def test_dense_poly_products_take_the_kernel(monkeypatch):
     calls = []
 
-    def spy(a, b):
-        calls.append(len(a))
-        return kronecker(a, b)
+    def spy(a, b, order):
+        calls.append((len(a), len(b), order, a is b))
+        return kronecker(a, b, order)
 
     kronecker = series._kronecker
     monkeypatch.setattr(series, "_kronecker", spy)
@@ -360,17 +361,65 @@ def test_dense_poly_products_take_the_kernel(monkeypatch):
     assert a.term_count() == 70 and b.term_count() == 99
     assert dense(a * b, 190) == poly_mul(dense(a, 91), dense(b, 100), 190)
     assert dense(a**2, 180) == poly_mul(dense(a, 91), dense(a, 91), 180)
-    # rows of 87 and 99 slots, padded to the product's length: 87 + 99 - 1 and 2 * 86 + 1
-    assert calls == [185, 173]
+    # rows of 87 and 99 slots go in unpadded, cut at the product's length
+    # 87 + 99 - 1; the square packs its one row, padded to 2 * 86 + 1 and cut
+    # back to its 87 slots inside the kernel
+    assert calls == [(87, 99, 185, False), (173, 173, 173, True)]
 
 
 def test_xi_power_cache_is_bounded():
-    _xi_power.cache_clear()
+    xipoly._XI_POWERS.clear()
     p = XiPoly({d: 1 for d in range(40)})
     x = xi_series(30)
     assert poly_to_series(p, 30) == sum((x**d for d in range(1, 40)), Series.one(30))
-    info = _xi_power.cache_info()
-    assert info.maxsize == 32 and info.currsize == 32
+    assert xipoly._XI_POWERS_MAXSIZE == 32 and len(xipoly._XI_POWERS) == 32
+
+
+@pytest.mark.parametrize("degree", [1200, 3000])
+def test_xi_power_of_high_degree_on_a_cold_cache(degree):
+    # the powers are filled by a loop, not one recursive call per degree
+    xipoly._XI_POWERS.clear()
+    order = 6
+    x = expand_quotient(XI.factors, order)
+    power = [1] + [0] * (order - 1)
+    for _ in range(degree):
+        power = poly_mul(power, x, order)
+    assert list(poly_to_series(XiPoly({degree: 1}), order)) == power
+    assert sorted(xipoly._XI_POWERS) == [(order, d) for d in range(degree - 31, degree + 1)]
+    # a warm cache walks up from the highest kept power, dropping the oldest
+    nxt = poly_to_series(XiPoly({degree + 1: 1}), order)
+    assert list(nxt) == poly_mul(power, x, order)
+    assert sorted(xipoly._XI_POWERS) == [(order, d) for d in range(degree - 30, degree + 2)]
+
+
+def test_xi_powers_are_safe_under_concurrent_access():
+    # threads at different orders and degrees share and evict the 32 kept powers
+    import threading
+
+    polys = [XiPoly({d: k + 1, d + 3: -1}) for k, d in enumerate((0, 7, 20, 40, 45, 60, 90, 99))]
+    orders = (2, 3, 4)
+    serial = [(k, n, poly_to_series(p, n)) for k, p in enumerate(polys) for n in orders]
+    results = []
+
+    def worker(k):
+        for _ in range(40):
+            for n in orders:
+                results.append((k, n, poly_to_series(polys[k], n)))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(polys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # every call returned, with the serial value
+    assert sorted(results, key=repr) == sorted(serial * 40, key=repr)
+    assert len(xipoly._XI_POWERS) <= 32
 
 
 def test_import_loads_no_decimal():
