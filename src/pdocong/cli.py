@@ -15,6 +15,14 @@ from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
 from .padic import INFINITY, check_f_profile
 from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
+# Requests past these limits are refused up front with exit 2, before any table
+# or polynomial is built.  pdo_series(2**17) takes about 5 s and 55 MB; each
+# tower level costs about 8.5 times the one below, phi_poly(10) about 6 s cold,
+# and lambda_poly(12), which unitizes at phi_poly(10)'s i, about the same (one
+# Xeon core, CPython 3.11).
+MAX_ORDER = 2**17
+MAX_LEVEL = {"lambda": 12, "phi": 10}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -145,8 +153,14 @@ def _reports_text(reports: list[CongruenceReport], fmt: str) -> str:
     return "\n".join(_report_line(r) for r in reports)
 
 
+def _limited(order: int) -> int:
+    if order > MAX_ORDER:
+        raise ValueError(f"truncation order {order} is over the limit {MAX_ORDER}")
+    return order
+
+
 def _required_order(config: RunConfig, minimum: int) -> int:
-    return max(minimum, config.order or 1)
+    return _limited(max(minimum, config.order or 1))
 
 
 def _cmd_pdo(config: RunConfig) -> tuple[int, str]:
@@ -163,7 +177,7 @@ def _cmd_expand(config: RunConfig) -> tuple[int, str]:
         spec = NAMED_SPECS[config.params["name"]]
     else:
         spec = EtaQuotientSpec.parse(config.params["spec"])
-    order = config.order if config.order is not None else 10
+    order = _limited(config.order or 10)
     series = expand(spec, order)
     return 0, _values_text(series.coeffs, config.output_format, order)
 
@@ -172,12 +186,19 @@ def _cmd_zeta(config: RunConfig) -> tuple[int, str]:
     return 0, _poly_text(zeta(config.params["i"], config.params["j"]), config.output_format)
 
 
+def _level(config: RunConfig) -> int:
+    k, limit = config.params["k"], MAX_LEVEL[config.command]
+    if k > limit:
+        raise ValueError(f"--k {k} is over the limit {limit} for {config.command}")
+    return k
+
+
 def _cmd_lambda(config: RunConfig) -> tuple[int, str]:
-    return 0, _poly_text(lambda_poly(config.params["k"]), config.output_format)
+    return 0, _poly_text(lambda_poly(_level(config)), config.output_format)
 
 
 def _cmd_phi(config: RunConfig) -> tuple[int, str]:
-    return 0, _poly_text(phi_poly(config.params["k"]), config.output_format)
+    return 0, _poly_text(phi_poly(_level(config)), config.output_format)
 
 
 def _cmd_valuations(config: RunConfig) -> tuple[int, str]:
@@ -304,8 +325,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(config.out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out {config.out_path}: {exc.strerror}", file=sys.stderr)
+            return 2
     elif text:
         print(text)
     return code

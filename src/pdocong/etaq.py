@@ -27,6 +27,8 @@ divisions remain.  ``expand`` is the generic eta-quotient route; it serves
 arbitrary specs and is the independent second route for delta.  The module
 also expands the companion functions gamma, xi and kappa used by the
 polynomial tower, and provides a brute-force combinatorial oracle for PDO(n).
+kappa(q) = gamma(q^2)^2 / gamma(q) is itself an eta quotient, so every
+expansion here divides only by sparse Euler and theta factors.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class EtaQuotientSpec:
 
 
 # The four named quotients of the tower.  kappa(q) = gamma(q^2)^2 / gamma(q)
-# also happens to be the eta quotient below; kappa_series uses the defining
-# quotient and the tests pin the equivalence.
+# is itself the eta quotient KAPPA below; kappa_series expands KAPPA and the
+# tests check it against the defining quotient.
 DELTA = EtaQuotientSpec(((4, 1), (6, 2), (1, -1), (3, -1), (12, -1)))
 GAMMA = EtaQuotientSpec(((1, 5), (2, 5), (6, 5), (3, -15)))
 XI = EtaQuotientSpec(((2, 5), (6, 1), (1, -1), (3, -5)))
@@ -133,11 +135,6 @@ def _pentagonal_terms() -> Iterator[tuple[int, int]]:
         yield k * (3 * k + 1) // 2, sign
 
 
-# The caches below are bounded.  A computation reuses a handful of entries: the
-# kappa/xi cross-checks need gamma and xi at two orders, so four expansions and
-# two Euler series.  Without a bound a long-running process would keep every
-# expansion it ever made alive.
-@lru_cache(maxsize=2)
 def euler_series(order: int) -> Series:
     """E(q) = prod (1 - q^n), via the pentagonal-number expansion.
 
@@ -157,6 +154,9 @@ def phi_minus_series(order: int, m: int = 1) -> Series:
     return _sparse(order, m, chain([(0, 1)], tail))
 
 
+# The expansion cache is bounded: a computation reuses a handful of entries
+# (the xi and kappa cross-checks need them at two orders).  Without a bound a
+# long-running process would keep every expansion it ever made alive.
 @lru_cache(maxsize=4)
 def expand(spec: EtaQuotientSpec, order: int) -> Series:
     """Expand an eta quotient to the requested order, exactly.
@@ -169,9 +169,10 @@ def expand(spec: EtaQuotientSpec, order: int) -> Series:
     passes does not change the result.
     """
     _check_order(order)
+    euler = euler_series(order)
     result = Series.one(order)
     for m, e in sorted(spec.factors, key=lambda factor: factor[1] < 0):
-        factor = euler_series(order).dilate(m)
+        factor = euler.dilate(m)
         if e > 0:
             for _ in range(e):
                 result = result * factor
@@ -200,12 +201,9 @@ def xi_series(order: int) -> Series:
     return expand(XI, order)
 
 
-@lru_cache(maxsize=1)
 def kappa_series(order: int) -> Series:
-    """kappa(q) = gamma(q^2)^2 / gamma(q)."""
-    g = gamma_series(order)
-    g2 = g.dilate(2)
-    return (g2 * g2).div(g)
+    """kappa(q) = gamma(q^2)^2 / gamma(q), expanded as the eta quotient KAPPA."""
+    return expand(KAPPA, order)
 
 
 def pdo_series(order: int) -> PdoTable:

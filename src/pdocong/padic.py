@@ -105,6 +105,7 @@ class ProfileReport:
         record["base_degree"] = self.base_degree
         record["vals"] = [v if v != INFINITY else "inf" for v in self.vals]
         record["verdict"] = self.verdict
+        record["failures"] = list(self.failures)
         return record
 
 

@@ -12,6 +12,8 @@ are packed into one decimal number each, multiplied once by libmpdec (CPython's
 decimal library, whose multiply uses a number-theoretic transform for large
 operands) in a private context that traps any rounding, and cut back into
 coefficients.  The module loads ``decimal`` on the first dense product only.
+Division runs one loop over the quotient that sums the divisor's nonzero terms
+grouped by value; the package divides only by sparse eta and theta factors.
 """
 
 from __future__ import annotations
@@ -246,30 +248,25 @@ class Series:
         Identical coefficients to ``self * other.invert()`` but runs in
         O(order * nonzeros(other)), which matters for sparse eta factors.
 
-        The divisor's nonzero offsets are grouped by coefficient value.  A
-        value held at two or more offsets k costs one C-level sum of the
-        out[n - k] and at most one multiply per n: theta and eta factors carry
-        only the values +-1 or +-2, so a division costs about one big-integer
-        addition per term.  A value held at a single offset keeps the plain
-        per-term loop, so a dense divisor with distinct values costs what it
-        did before grouping.
+        The divisor's nonzero offsets are grouped by coefficient value.  Each
+        group costs one C-level sum of the out[n - k] over its offsets k and at
+        most one multiply per n: theta and eta factors carry only the values
+        +-1 or +-2, so a division costs about one big-integer addition per
+        term.  A dense divisor with distinct values still works, one group per
+        offset, but the package divides only by sparse factors.
         """
         order = min(len(self.coeffs), len(other.coeffs))
         if other.order == 0 or other.coeffs[0] not in (1, -1):
             head = other.coeffs[0] if other.order else None
             raise NonUnitError(f"series is not invertible: constant term {head!r}")
         c0 = other.coeffs[0]
-        offsets: dict[int, list[int]] = {}
-        for k in range(1, order):
-            d = other.coeffs[k]
-            if d:
-                offsets.setdefault(d, []).append(k)
-        singles = sorted((ks[0], d) for d, ks in offsets.items() if len(ks) == 1)
         # out is a zero sentinel followed by the quotient so far, so out[-k] is
         # the coefficient at n - k.  A group's getter reads the sentinel and the
-        # group's offsets k <= n; it grows as n reaches each further offset.
-        live = {d: [0] for d, ks in offsets.items() if len(ks) > 1}
-        arrivals = sorted(((k, d) for d in live for k in offsets[d]), reverse=True)
+        # group's offsets k <= n, so it returns a tuple even for one offset; it
+        # grows as n reaches each further offset.  arrivals is highest offset
+        # first, so the next one to arrive is at its end.
+        arrivals = [(k, other.coeffs[k]) for k in range(order - 1, 0, -1) if other.coeffs[k]]
+        live: dict[int, list[int]] = {}
         getters: dict[int, itemgetter] = {}
         groups: list[tuple[int, itemgetter]] = []
         num = self.coeffs
@@ -277,8 +274,9 @@ class Series:
         for n in range(order):
             if arrivals and arrivals[-1][0] == n:
                 _, d = arrivals.pop()
-                live[d].append(-n)
-                getters[d] = itemgetter(*live[d])
+                reads = live.setdefault(d, [0])
+                reads.append(-n)
+                getters[d] = itemgetter(*reads)
                 groups = list(getters.items())
             acc = num[n]
             for d, terms in groups:
@@ -288,12 +286,6 @@ class Series:
                     acc += sum(terms(out))
                 else:
                     acc -= d * sum(terms(out))
-            for k, d in singles:
-                if k > n:
-                    break
-                prev = out[-k]
-                if prev:
-                    acc -= d * prev
             out.append(acc if c0 == 1 else -acc)
         return Series(out[1:])
 

@@ -39,4 +39,5 @@ def profile_from_record(record: dict) -> ProfileReport:
         base_degree=int(record["base_degree"]),
         vals=vals,
         verdict=record["verdict"],
+        failures=tuple(record["failures"]),
     )

@@ -6,6 +6,7 @@ import pytest
 from pdocong import (
     FAMILIES,
     XiPoly,
+    expand,
     lambda_poly,
     pdo_series,
     phi_poly,
@@ -15,6 +16,7 @@ from pdocong import (
     verify_strengthened,
     zeta,
 )
+from pdocong import cli
 from pdocong.cli import _build_parser, main, parse_config
 from records import congruence_from_record, profile_from_record
 
@@ -108,6 +110,7 @@ def test_valuations_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "valuations", "--k", "3", "--format", "json")
     assert code == 0
     [record] = json.loads(out)
+    assert record["failures"] == []
     report = profile_from_record(record)
     assert report.passed and report.base_degree == 14
 
@@ -270,6 +273,66 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().out == ""
     assert XiPoly.from_records(json.loads(target.read_text())) == lambda_poly(2)
+
+
+@pytest.mark.parametrize("where", ["missing/dir/report.txt", "."])
+def test_out_write_error_exits_2(tmp_path, capsys, where):
+    # 1 would mean "counterexample found"; a file that cannot be written is a usage error
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, "pdo", "--max", "3", "--out", str(target))
+    assert (code, out) == (2, "")
+    reason = "No such file or directory" if where != "." else "Is a directory"
+    assert err == f"error: cannot write --out {target}: {reason}\n"
+
+
+def _refuse_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"a table was built for a refused request: {args}")
+
+    for name in ("pdo_series", "expand", "lambda_poly", "phi_poly"):
+        monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["verify", "--family", "main", "--k", "40", "--nmax", "2"], 2**83 + 1),
+        (["expand", "--spec", "1^1", "--order", "99999999999999999999"], 99999999999999999999),
+        (["expand", "--name", "xi", "--order", "131073"], 131073),
+        (["pdo", "--max", "131072"], 131073),
+        (["pdo", "--max", "3", "--order", "131073"], 131073),
+        (["scan", "--pairs", "8:2", "--nmax", "16385"], 131073),
+        (["verify", "--family", "pair", "--lhs", "65537", "--rhs", "1", "--mod-exp", "1",
+          "--nmax", "3"], 131075),
+    ],
+)
+def test_oversize_orders_are_refused_up_front(monkeypatch, capsys, argv, order):
+    _refuse_tables(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: truncation order {order} is over the limit 131072\n"
+
+
+def test_the_order_limit_is_inclusive(monkeypatch, capsys):
+    orders = []
+    monkeypatch.setattr(cli, "pdo_series", lambda order: orders.append(order) or pdo_series(8))
+    monkeypatch.setattr(cli, "expand", lambda spec, order: orders.append(order) or expand(spec, 8))
+    assert cli.MAX_ORDER == 2**17
+    for argv in (["pdo", "--max", "3", "--order", "131072"], ["pdo", "--max", "131071"],
+                 ["expand", "--name", "xi", "--order", "131072"],
+                 ["scan", "--pairs", "131071:1", "--nmax", "2"]):
+        assert main(argv) == 0  # on a short stand-in table: only the order matters here
+        capsys.readouterr()
+    assert orders == [131072] * 4
+
+
+@pytest.mark.parametrize("command, k, limit", [("phi", 11, 10), ("lambda", 13, 12)])
+def test_oversize_tower_levels_are_refused_up_front(monkeypatch, capsys, command, k, limit):
+    _refuse_tables(monkeypatch)
+    assert cli.MAX_LEVEL[command] == limit
+    code, out, err = run_cli(capsys, command, "--k", str(k))
+    assert (code, out) == (2, "")
+    assert err == f"error: --k {k} is over the limit {limit} for {command}\n"
 
 
 def test_unknown_command_exits_2():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pdocong import (
@@ -112,7 +114,29 @@ def test_constant_terms_are_one():
 
 
 def test_kappa_matches_its_eta_quotient_form():
-    assert kappa_series(80) == expand(KAPPA, 80)
+    # the second route: kappa(q) = gamma(q^2)^2 / gamma(q), a division by dense gamma
+    for order in (1, 2, 80, 1200):
+        g = gamma_series(order)
+        g2 = g.dilate(2)
+        assert kappa_series(order) == (g2 * g2).div(g)
+
+
+def test_expansions_divide_only_by_sparse_factors(monkeypatch):
+    divisors = []
+    div = Series.div
+
+    def spy(self, other):
+        divisors.append((sum(1 for c in other.coeffs if c), other.order))
+        return div(self, other)
+
+    monkeypatch.setattr(Series, "div", spy)
+    expand.cache_clear()
+    kappa_series(1200)
+    pdo_series(8000)
+    expand(XI, 1200)
+    assert {order for _, order in divisors} == {1200, 8000}
+    for terms, order in divisors:
+        assert terms <= 2 * math.isqrt(order) + 1
 
 
 def test_kappa_unitizations_match_polynomials():
@@ -168,15 +192,15 @@ def test_pdo_even_slice_is_delta_squared():
 
 def test_expansion_caches_are_bounded():
     expand.cache_clear()
-    euler_series.cache_clear()
-    kappa_series.cache_clear()
     for order in range(100, 1300, 100):
         expand(XI, order)
     kappa_series(40)
     kappa_series(50)
-    for cached, bound in ((expand, 4), (euler_series, 2), (kappa_series, 1)):
-        info = cached.cache_info()
-        assert info.maxsize == bound and info.currsize == bound
+    info = expand.cache_info()
+    assert info.maxsize == 4 and info.currsize == 4
+    # expand is the only memo: E(q) and kappa are rebuilt or read through it
+    assert not hasattr(euler_series, "cache_info")
+    assert not hasattr(kappa_series, "cache_info")
 
 
 def test_spec_text_round_trip():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -188,6 +189,7 @@ def test_check_z_profile_reports_perturbed_rows(monkeypatch, extra, failures):
     report = check_z_profile(6, 0)
     assert report.verdict == "fail" and not report.passed
     assert report.failures == failures
+    assert profile_from_record(json.loads(json.dumps(report.to_record()))) == report
 
 
 # phi_poly(3) = 34012224 xi^14 - 396809280 xi^15 + 2061728640 xi^16 - ... + 2^26 xi^24, tau 14
@@ -207,6 +209,7 @@ def test_check_f_profile_reports_perturbed_polynomials(monkeypatch, extra, failu
     report = check_f_profile(3)
     assert report.verdict == "fail" and not report.passed
     assert report.failures == failures
+    assert profile_from_record(json.loads(json.dumps(report.to_record()))) == report
 
 
 def test_report_record_round_trip():
@@ -217,6 +220,7 @@ def test_report_record_round_trip():
         assert back.base_degree == report.base_degree
         assert back.vals == report.vals
         assert back.verdict == report.verdict
+        assert back == report
 
 
 def test_report_record_serializes_infinity():
@@ -230,6 +234,7 @@ def test_report_record_serializes_infinity():
 
 def test_profile_report_shape():
     z = check_z_profile(2, 1).to_record()
-    assert set(z) == {"family", "i", "j", "base_degree", "vals", "verdict"}
+    assert set(z) == {"family", "i", "j", "base_degree", "vals", "verdict", "failures"}
     f = check_f_profile(3).to_record()
-    assert set(f) == {"family", "k", "base_degree", "vals", "verdict"}
+    assert set(f) == {"family", "k", "base_degree", "vals", "verdict", "failures"}
+    assert z["failures"] == f["failures"] == []

@@ -24,7 +24,7 @@ def divisors(tail):
 
 # every nonzero value repeats, so Series.div forms groups
 two_value_divisors = divisors(st.lists(st.sampled_from([0, 0, 2, -2]), max_size=30))
-# no nonzero value repeats, so every offset is a singleton
+# no nonzero value repeats, so every group holds one offset
 distinct_divisors = divisors(
     st.lists(st.integers(-40, 40), max_size=30, unique=True).map(lambda xs: [x for x in xs if x])
 )
@@ -217,7 +217,6 @@ def test_sparse_products_stay_on_the_walk(monkeypatch):
 
     monkeypatch.setattr(series, "_kronecker", refuse)
     expand.cache_clear()
-    euler_series.cache_clear()
     assert pdo_series(8000)[8] == 22
     assert expand(XI, 1200).order == 1200
     assert expand(DELTA, 400) == delta_series(400)
