@@ -1,5 +1,7 @@
 """Exact q-series and xi-polynomial machinery for PDO internal congruences."""
 
+from types import ModuleType as _ModuleType
+
 from .congruence import (
     CongruenceReport,
     CongruenceSpec,
@@ -43,64 +45,18 @@ from .padic import (
 )
 from .series import NonUnitError, Series
 from .xipoly import (
-    SigmaPair,
     XiPoly,
     gamma6_poly,
     lambda_poly,
     phi_poly,
     phi_poly_direct,
     poly_to_series,
-    sigma_pair,
     zeta,
     zeta_initial,
 )
 
-__all__ = [
-    "CongruenceReport",
-    "CongruenceSpec",
-    "DivisibilitySpec",
-    "DELTA",
-    "EtaQuotientSpec",
-    "FAMILIES",
-    "GAMMA",
-    "INFINITY",
-    "KAPPA",
-    "NonUnitError",
-    "PdoTable",
-    "ProfileReport",
-    "ScanResult",
-    "Series",
-    "SigmaPair",
-    "ValuationProfile",
-    "XI",
-    "XiPoly",
-    "check_f_profile",
-    "check_z_profile",
-    "d_min",
-    "delta_series",
-    "euler_series",
-    "expand",
-    "gamma6_poly",
-    "gamma_series",
-    "kappa_series",
-    "lambda_poly",
-    "main_family_spec",
-    "nu2",
-    "pdo_bruteforce",
-    "pdo_series",
-    "phi_poly",
-    "phi_poly_direct",
-    "poly_to_series",
-    "profile",
-    "scan",
-    "sigma_pair",
-    "tau",
-    "verify",
-    "verify_corollary",
-    "verify_main",
-    "verify_ramanujan",
-    "verify_strengthened",
-    "xi_series",
-    "zeta",
-    "zeta_initial",
-]
+# every public name imported above; the submodules bound by those imports are left out
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

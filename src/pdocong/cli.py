@@ -18,10 +18,12 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # Requests past these limits are refused up front with exit 2, before any table
 # or polynomial is built.  pdo_series(2**17) takes about 5 s and 55 MB; each
 # tower level costs about 8.5 times the one below, phi_poly(10) about 6 s cold,
-# and lambda_poly(12), which unitizes at phi_poly(10)'s i, about the same (one
-# Xeon core, CPython 3.11).
+# and lambda_poly(12), which unitizes at phi_poly(10)'s i, about the same.  The
+# zeta limit holds for --i and --j alike: the dearest cells at or below it,
+# zeta --i 1535 with a small --j, take about 5.5 s and 75 MB cold, and
+# --i 2048 --j 0 takes 9.4 s and 107 MB (one Xeon core, CPython 3.11).
 MAX_ORDER = 2**17
-MAX_LEVEL = {"lambda": 12, "phi": 10}
+MAX_LEVEL = {"lambda": 12, "phi": 10, "zeta": 1536}
 
 
 @dataclass(frozen=True)
@@ -182,15 +184,15 @@ def _cmd_expand(config: RunConfig) -> tuple[int, str]:
     return 0, _values_text(series.coeffs, config.output_format, order)
 
 
+def _level(config: RunConfig, flag: str = "k") -> int:
+    value, limit = config.params[flag], MAX_LEVEL[config.command]
+    if value > limit:
+        raise ValueError(f"--{flag} {value} is over the limit {limit} for {config.command}")
+    return value
+
+
 def _cmd_zeta(config: RunConfig) -> tuple[int, str]:
-    return 0, _poly_text(zeta(config.params["i"], config.params["j"]), config.output_format)
-
-
-def _level(config: RunConfig) -> int:
-    k, limit = config.params["k"], MAX_LEVEL[config.command]
-    if k > limit:
-        raise ValueError(f"--k {k} is over the limit {limit} for {config.command}")
-    return k
+    return 0, _poly_text(zeta(_level(config, "i"), _level(config, "j")), config.output_format)
 
 
 def _cmd_lambda(config: RunConfig) -> tuple[int, str]:

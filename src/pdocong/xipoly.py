@@ -7,11 +7,13 @@ i, j >= 0.  Six initial unitizations are known exactly.  Since
 
 with kappa(q) kappa(-q) = xi(q^2)^5 and xi(q) xi(-q) = 9 xi(q^2) - 8 xi(q^2)^2,
 everything else follows from two exact rules: the linear recurrence in j built
-on the symmetric functions of xi(q) and xi(-q),
+on the symmetric functions sigma_{xi,1} = xi(q) + xi(-q) = 10 xi - 8 xi^2 and
+sigma_{xi,2} = xi(q) xi(-q) = 9 xi - 8 xi^2,
 
     zeta_{i,j} = sigma_{xi,1} * zeta_{i,j-1} - sigma_{xi,2} * zeta_{i,j-2}   (j >= 2),
 
-and the doubling identity, for a >= c and b >= d,
+which _step carries out with those four coefficients written in, and the
+doubling identity, for a >= c and b >= d,
 
     zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
 
@@ -27,16 +29,17 @@ initial table with the doubling identity, so no recurrence runs through every
 smaller i or through the rows below j0.  On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
 phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
-q^n.  Every polynomial here converts back to a q-series through poly_to_series
-for cross-validation against direct unitization.
+q^n.  lambda_poly walks up from lambda_2 on every call and keeps no level;
+phi_poly keeps the last eight levels asked for.  Every polynomial here converts
+back to a q-series through poly_to_series for cross-validation against direct
+unitization.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import count, islice
 from math import comb
 from threading import Lock
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -186,29 +189,6 @@ ZERO = XiPoly()
 ONE = XiPoly({0: 1})
 
 
-@dataclass(frozen=True)
-class SigmaPair:
-    """sigma1 = alpha(q) + alpha(-q) and sigma2 = alpha(q) alpha(-q), as
-    polynomials in xi; equivalently sigma1 = 2 U(alpha) and
-    sigma2 = 2 U(alpha)^2 - U(alpha^2)."""
-
-    sigma1: XiPoly
-    sigma2: XiPoly
-
-
-_SIGMA = {
-    "kappa": SigmaPair(XiPoly({3: 10, 4: -40, 5: 32}), XiPoly({5: 1})),
-    "xi": SigmaPair(XiPoly({1: 10, 2: -8}), XiPoly({1: 9, 2: -8})),
-}
-
-
-def sigma_pair(which: str) -> SigmaPair:
-    try:
-        return _SIGMA[which]
-    except KeyError:
-        raise ValueError(f"unknown sigma pair {which!r}; expected 'kappa' or 'xi'") from None
-
-
 def zeta_initial() -> dict[tuple[int, int], XiPoly]:
     """The six known base unitizations U(kappa^i xi^j), (i,j) with i+j <= 2."""
     return {
@@ -221,25 +201,24 @@ def zeta_initial() -> dict[tuple[int, int], XiPoly]:
     }
 
 
-def _step(pair: SigmaPair, a: XiPoly, b: XiPoly) -> XiPoly:
-    """sigma1 * a - sigma2 * b, in one pass over the four shifted rows."""
-    shifted = [(c, a.low + e, a.coeffs) for e, c in pair.sigma1.terms()]
-    shifted += [(-c, b.low + e, b.coeffs) for e, c in pair.sigma2.terms()]
-    low = min(s for _, s, _ in shifted)
-    high = max(s + len(r) for _, s, r in shifted)
-    pad = [_pad(s, r, low, high) for _, s, r in shifted]
-    # both sigma pairs have four terms in all, so one fused pass makes the step
-    c0, c1, c2, c3 = [c for c, _, _ in shifted]
-    return XiPoly._row(low, [c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 for x0, x1, x2, x3 in zip(*pad)])
+def _step(a: XiPoly, b: XiPoly) -> XiPoly:
+    """sigma_{xi,1} a - sigma_{xi,2} b = (10 xi - 8 xi^2) a - (9 xi - 8 xi^2) b,
+    in one pass over the four shifted rows."""
+    low = min(a.low, b.low) + 1
+    high = max(a.low + len(a.coeffs), b.low + len(b.coeffs)) + 2
+    a1, a2 = _pad(a.low + 1, a.coeffs, low, high), _pad(a.low + 2, a.coeffs, low, high)
+    b1, b2 = _pad(b.low + 1, b.coeffs, low, high), _pad(b.low + 2, b.coeffs, low, high)
+    fused = zip(a1, a2, b1, b2)
+    return XiPoly._row(low, [10 * x1 - 8 * x2 - 9 * y1 + 8 * y2 for x1, x2, y1, y2 in fused])
 
 
-def _walk(pair: SigmaPair, first: XiPoly, second: XiPoly) -> Iterator[XiPoly]:
-    """Rows 0, 1, 2, ... of sigma1 * row_{n-1} - sigma2 * row_{n-2}, built on demand."""
+def _walk(first: XiPoly, second: XiPoly) -> Iterator[XiPoly]:
+    """Rows 0, 1, 2, ... of the xi recurrence, built on demand from the first two."""
     b, a = first, second
     yield b
     while True:
         yield a
-        b, a = a, _step(pair, a, b)
+        b, a = a, _step(a, b)
 
 
 # unitize(p, i) starts its walk at the pair (i, j0) for the multiple j0 of
@@ -250,11 +229,6 @@ _PAIR_STRIDE = 32
 def _sigma_power(shift: int, d: int) -> XiPoly:
     """xi^shift * (9 - 8 xi)^d, the binomial coefficients in closed form."""
     return XiPoly._row(shift, [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)])
-
-
-def _times(x: XiPoly, y: XiPoly) -> XiPoly:
-    """x * y, squared when both are the same row so the kernel packs it once."""
-    return x**2 if x is y else x * y
 
 
 @lru_cache(maxsize=8)
@@ -290,11 +264,11 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
             low, high = pairs[c]  # zeta_{c,g}, zeta_{c,g+1}
             a_low, a_high = pairs[c + r]  # zeta_{a,g}, zeta_{a,g+1} with a = m - c
             if n & 1:  # n = 2g + 1 = (g + 1) + g and n + 1 = (g + 1) + (g + 1)
-                first = 2 * _times(a_high, low) - _sigma_power(5 * c + g, g) * init[r, 1]
-                second = 2 * _times(a_high, high) - _sigma_power(5 * c + g + 1, g + 1) * init[r, 0]
+                first = 2 * (a_high * low) - _sigma_power(5 * c + g, g) * init[r, 1]
+                second = 2 * (a_high * high) - _sigma_power(5 * c + g + 1, g + 1) * init[r, 0]
             else:  # n = g + g and n + 1 = (g + 1) + g
-                first = 2 * _times(a_low, low) - _sigma_power(5 * c + g, g) * init[r, 0]
-                second = 2 * _times(a_high, low) - _sigma_power(5 * c + g, g) * init[r, 1]
+                first = 2 * (a_low * low) - _sigma_power(5 * c + g, g) * init[r, 0]
+                second = 2 * (a_high * low) - _sigma_power(5 * c + g, g) * init[r, 1]
             doubled[m] = (first, second)
         pairs = doubled
     return pairs[i]
@@ -311,7 +285,7 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
         return ZERO
     j0 = p.low - p.low % _PAIR_STRIDE
     acc: list[int] = []  # indexed by degree; the zeros below the lowest row cost no arithmetic
-    rows = islice(_walk(_SIGMA["xi"], *_pair(i, j0)), p.low - j0, None)
+    rows = islice(_walk(*_pair(i, j0)), p.low - j0, None)
     for c, row in zip(p.coeffs, rows):
         if c:
             s, r = row.low, row.coeffs
@@ -333,28 +307,34 @@ def gamma6_poly() -> XiPoly:
     return XiPoly({10: 59049, 11: -262440, 12: 466560, 13: -414720, 14: 184320, 15: -32768})
 
 
-@lru_cache(maxsize=None)
+def _lambda_tower() -> Iterator[XiPoly]:
+    """lambda_2, lambda_3, ...: lambda_2 = 3 xi^2 - 2 xi^3, and each further
+    level k unitizes the one below against kappa^{2^{k-3}}."""
+    p = XiPoly({2: 3, 3: -2})
+    for k in count(3):
+        yield p
+        p = unitize(p, 2 ** (k - 3))
+
+
 def lambda_poly(k: int) -> XiPoly:
     """The k-th dissection slice gamma^{2^{k-2}} sum PDO(2^k n) q^n in Z[xi].
 
-    lambda_poly(2) = 3 xi^2 - 2 xi^3; each further level unitizes against
-    kappa^{2^{k-3}}, i.e. pushes the whole polynomial through unitize.
+    No level is cached: each call walks the tower up from lambda_2.
     """
     if k < 2:
         raise ValueError(f"lambda tower starts at k=2, got {k}")
-    if k == 2:
-        return XiPoly({2: 3, 3: -2})
-    return unitize(lambda_poly(k - 1), 2 ** (k - 3))
+    return next(islice(_lambda_tower(), k - 2, None))
 
 
-@lru_cache(maxsize=None)
+# eight levels cover phi_3 .. phi_10, every level the CLI builds
+@lru_cache(maxsize=8)
 def phi_poly(k: int) -> XiPoly:
     """The internal-difference slice gamma^{2^k} sum (PDO(2^{k+2}n) - PDO(2^k n)) q^n.
 
     Computed from the recurrences: the base case as lambda_poly(5) - gamma^6 *
     lambda_poly(3), and each further level by unitizing against
     kappa^{2^{k-1}}.  :func:`phi_poly_direct` gives the independent route used
-    by the consistency tests.
+    by the consistency tests.  The last eight levels asked for are kept.
     """
     if k < 3:
         raise ValueError(f"phi tower starts at k=3, got {k}")
@@ -364,10 +344,12 @@ def phi_poly(k: int) -> XiPoly:
 
 
 def phi_poly_direct(k: int) -> XiPoly:
-    """phi via the defining difference lambda_{k+2} - (gamma^6)^{2^{k-3}} lambda_k."""
+    """phi via the defining difference lambda_{k+2} - (gamma^6)^{2^{k-3}} lambda_k,
+    both levels from one walk up the lambda tower."""
     if k < 3:
         raise ValueError(f"phi tower starts at k=3, got {k}")
-    return lambda_poly(k + 2) - gamma6_poly() ** (2 ** (k - 3)) * lambda_poly(k)
+    low, _, high = islice(_lambda_tower(), k - 2, k + 1)
+    return high - gamma6_poly() ** (2 ** (k - 3)) * low
 
 
 # (order, degree) -> xi(q)^degree truncated to order, the last 32 used

@@ -289,7 +289,7 @@ def _refuse_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"a table was built for a refused request: {args}")
 
-    for name in ("pdo_series", "expand", "lambda_poly", "phi_poly"):
+    for name in ("pdo_series", "expand", "lambda_poly", "phi_poly", "zeta"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -333,6 +333,26 @@ def test_oversize_tower_levels_are_refused_up_front(monkeypatch, capsys, command
     code, out, err = run_cli(capsys, command, "--k", str(k))
     assert (code, out) == (2, "")
     assert err == f"error: --k {k} is over the limit {limit} for {command}\n"
+
+
+@pytest.mark.parametrize(
+    "i, j, flag, value", [(1537, 0, "i", 1537), (0, 1537, "j", 1537), (1537, 4000, "i", 1537)]
+)
+def test_oversize_zeta_indices_are_refused_up_front(monkeypatch, capsys, i, j, flag, value):
+    _refuse_tables(monkeypatch)
+    assert cli.MAX_LEVEL["zeta"] == 1536
+    code, out, err = run_cli(capsys, "zeta", "--i", str(i), "--j", str(j))
+    assert (code, out) == (2, "")
+    assert err == f"error: --{flag} {value} is over the limit 1536 for zeta\n"
+
+
+def test_the_zeta_limit_is_inclusive(monkeypatch, capsys):
+    cells = []
+    monkeypatch.setattr(cli, "zeta", lambda i, j: cells.append((i, j)) or zeta(1, 2))
+    # a stand-in cell: only the indices matter here
+    assert main(["zeta", "--i", "1536", "--j", "1536"]) == 0
+    assert cells == [(1536, 1536)]
+    assert capsys.readouterr().out == f"{zeta(1, 2)}\n"
 
 
 def test_unknown_command_exits_2():

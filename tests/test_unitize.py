@@ -4,7 +4,7 @@ builder in zeta_oracle."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdocong import XiPoly, lambda_poly, phi_poly, xipoly, zeta, zeta_initial
+from pdocong import XiPoly, lambda_poly, phi_poly, series, xipoly, zeta, zeta_initial
 from pdocong.xipoly import ONE, ZERO, unitize
 from zeta_oracle import SparseZeta
 
@@ -106,9 +106,27 @@ def test_pair_cache_is_bounded():
 
 def test_top_phi_and_lambda_levels_share_one_pair():
     # phi_9 and lambda_11 both unitize against kappa^256 from degree 427
-    assert phi_poly(8).low == lambda_poly(10).low == 427
+    top_phi, top_lambda = phi_poly(8), lambda_poly(10)
+    assert top_phi.low == top_lambda.low == 427
     xipoly._pair.cache_clear()
-    phi_poly.__wrapped__(9)
-    lambda_poly.__wrapped__(11)
+    unitize(top_phi, 256)
+    unitize(top_lambda, 256)
     info = xipoly._pair.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+def test_ladder_squares_pack_their_row_once(monkeypatch):
+    # for even i the ladder multiplies a row by itself; the kernel must get the
+    # same tuple twice, so it packs that operand once
+    calls = []
+    kronecker = series._kronecker
+
+    def spy(a, b, order):
+        calls.append((a is b, a == b))
+        return kronecker(a, b, order)
+
+    monkeypatch.setattr(series, "_kronecker", spy)
+    xipoly._pair.cache_clear()
+    xipoly._pair(256, 416)
+    squares = [same for same, equal in calls if equal]
+    assert squares and all(squares)

@@ -21,14 +21,13 @@ from pdocong import (
     phi_poly,
     phi_poly_direct,
     poly_to_series,
-    sigma_pair,
     xi_series,
     zeta,
     zeta_initial,
 )
 from pdocong.xipoly import ONE, ZERO
 from naive_series import expand_quotient, poly_mul
-from zeta_oracle import zeta_combined
+from zeta_oracle import sigma_pairs, zeta_combined
 
 LAMBDA_2 = XiPoly({2: 3, 3: -2})
 LAMBDA_3 = XiPoly({4: 9, 5: -24, 6: 16})
@@ -132,10 +131,12 @@ def test_zeta_initial_values():
 
 def test_initial_values_consistent_with_recurrences():
     initial = zeta_initial()
-    sk = sigma_pair("kappa")
-    sx = sigma_pair("xi")
-    assert sk.sigma1 * initial[(1, 0)] - sk.sigma2 * initial[(0, 0)] == initial[(2, 0)]
-    assert sx.sigma1 * initial[(0, 1)] - sx.sigma2 * initial[(0, 0)] == initial[(0, 2)]
+    pairs = sigma_pairs()
+    (k1, k2), (x1, x2) = pairs["kappa"], pairs["xi"]
+    assert k1 * initial[(1, 0)] - k2 * initial[(0, 0)] == initial[(2, 0)]
+    assert x1 * initial[(0, 1)] - x2 * initial[(0, 0)] == initial[(0, 2)]
+    # the package's hard-wired xi step takes the same two rows to the same value
+    assert xipoly._step(initial[(0, 1)], initial[(0, 0)]) == initial[(0, 2)]
 
 
 def test_zeta_printed_examples():
@@ -161,26 +162,20 @@ def test_zeta_combined_recurrence_agrees():
 
 
 def test_sigma_pairs():
-    kappa = sigma_pair("kappa")
-    assert kappa.sigma1 == XiPoly({3: 10, 4: -40, 5: 32})
-    assert kappa.sigma2 == XiPoly({5: 1})
-    xi = sigma_pair("xi")
-    assert xi.sigma1 == XiPoly({1: 10, 2: -8})
-    assert xi.sigma2 == XiPoly({1: 9, 2: -8})
-    with pytest.raises(ValueError):
-        sigma_pair("delta")
+    pairs = sigma_pairs()
+    assert pairs["kappa"] == (XiPoly({3: 10, 4: -40, 5: 32}), XiPoly({5: 1}))
+    assert pairs["xi"] == (XiPoly({1: 10, 2: -8}), XiPoly({1: 9, 2: -8}))
 
 
 def test_sigma_pairs_derive_from_initial_unitizations():
-    # sigma1 = 2 U(alpha), sigma2 = 2 U(alpha)^2 - U(alpha^2)
-    initial = zeta_initial()
-    for name, u1, u2 in (
-        ("kappa", initial[(1, 0)], initial[(2, 0)]),
-        ("xi", initial[(0, 1)], initial[(0, 2)]),
-    ):
-        pair = sigma_pair(name)
-        assert pair.sigma1 == 2 * u1
-        assert pair.sigma2 == 2 * u1 * u1 - u2
+    # sigma1 = alpha(q) + alpha(-q) and sigma2 = alpha(q) alpha(-q) at q-level,
+    # both even in q, so U of each is the polynomial evaluated at xi
+    order = 60
+    pairs = sigma_pairs()
+    for name, alpha in (("kappa", kappa_series(order)), ("xi", xi_series(order))):
+        sigma1, sigma2 = pairs[name]
+        assert (alpha + alpha.alternate()).u2() == poly_to_series(sigma1, order // 2), name
+        assert (alpha * alpha.alternate()).u2() == poly_to_series(sigma2, order // 2), name
 
 
 def test_gamma6_poly_coefficients():
@@ -337,6 +332,24 @@ def test_poly_row_matches_naive_arithmetic(a, b):
     assert (pa == pb) == (dense(pa, 41) == dense(pb, 41))
 
 
+@given(gappy_terms, gappy_terms, st.integers(0, 90), st.integers(0, 90))
+def test_step_is_the_xi_recurrence(a, b, shift_a, shift_b):
+    # gappy rows, the zero row and rows at unrelated offsets, against the
+    # sigma pair that the oracle derives from the base values
+    sigma1, sigma2 = sigma_pairs()["xi"]
+    pa = XiPoly({d + shift_a: c for d, c in a.items()})
+    pb = XiPoly({d + shift_b: c for d, c in b.items()})
+    for x, y in ((pa, pb), (pa, ZERO), (ZERO, pb), (ZERO, ZERO)):
+        assert xipoly._step(x, y) == sigma1 * x - sigma2 * y
+
+
+def test_tower_memos_are_bounded():
+    assert not hasattr(lambda_poly, "cache_info")
+    assert phi_poly.cache_info().maxsize == 8
+    src = Path(pdocong.__file__).parent
+    assert not [f.name for f in src.glob("*.py") if "lru_cache(maxsize=None)" in f.read_text()]
+
+
 @given(gappy_terms, st.sampled_from([0, 1, 7]))
 def test_poly_pow_is_repeated_multiplication(a, e):
     p = XiPoly(a)
@@ -361,10 +374,13 @@ def test_dense_poly_products_take_the_kernel(monkeypatch):
     assert a.term_count() == 70 and b.term_count() == 99
     assert dense(a * b, 190) == poly_mul(dense(a, 91), dense(b, 100), 190)
     assert dense(a**2, 180) == poly_mul(dense(a, 91), dense(a, 91), 180)
+    assert a * a == a**2
     # rows of 87 and 99 slots go in unpadded, cut at the product's length
     # 87 + 99 - 1; the square packs its one row, padded to 2 * 86 + 1 and cut
-    # back to its 87 slots inside the kernel
-    assert calls == [(87, 99, 185, False), (173, 173, 173, True)]
+    # back to its 87 slots inside the kernel; a row times itself hands the
+    # kernel the same tuple twice, so it too is packed once
+    square = (173, 173, 173, True)
+    assert calls == [(87, 99, 185, False), square, (87, 87, 173, True), square]
 
 
 def test_xi_power_cache_is_bounded():
@@ -428,6 +444,17 @@ def test_import_loads_no_decimal():
     code = "import sys, pdocong; print('decimal' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (run.returncode, run.stdout.strip()) == (0, "False")
+
+
+def test_star_import_binds_public_names_only():
+    namespace = {}
+    exec("from pdocong import *", namespace)
+    names = set(namespace) - {"__builtins__"}
+    assert names == set(pdocong.__all__)
+    assert all(getattr(pdocong, name) is namespace[name] for name in names)
+    assert not [name for name in names if isinstance(namespace[name], type(pdocong))]
+    assert {"XiPoly", "phi_poly", "zeta", "FAMILIES", "Series"} <= names
+    assert not names & {"SigmaPair", "sigma_pair", "xipoly", "cli"}
 
 
 @given(poly_terms)

@@ -3,15 +3,32 @@
 ``zeta_combined`` composes both step recurrences into one four-term
 recurrence.  ``SparseZeta`` is the memoized sparse builder.
 
-The sparse builder shares only the ring ``XiPoly``, the six base values
-``zeta_initial()`` and the recurrence coefficients ``sigma_pair()`` with the
-package.  Each instance fills its own dict the way the recurrences are derived: the columns j = 0, 1
-grow in i by the kappa recurrence, then row i extends in j by the xi
-recurrence.  Every entry is kept, so memory grows with every row asked for;
-use a fresh instance per test module.
+Both share only the ring ``XiPoly`` and the six base values
+``zeta_initial()`` with the package.  The recurrence coefficients come from
+those base values here (``sigma_pairs``), not from the package's hard-wired
+xi step.  Each ``SparseZeta`` fills its own dict the way the recurrences are
+derived: the columns j = 0, 1 grow in i by the kappa recurrence, then row i
+extends in j by the xi recurrence.  Every entry is kept, so memory grows with
+every row asked for; use a fresh instance per test module.
 """
 
-from pdocong import XiPoly, sigma_pair, zeta, zeta_initial
+from pdocong import XiPoly, zeta, zeta_initial
+
+
+def sigma_pairs():
+    """{"kappa": (sigma1, sigma2), "xi": (sigma1, sigma2)} for alpha = kappa, xi.
+
+    sigma1 = alpha(q) + alpha(-q) = 2 U(alpha) and
+    sigma2 = alpha(q) alpha(-q) = 2 U(alpha)^2 - U(alpha^2), from the base values.
+    """
+    initial = zeta_initial()
+    pairs = {}
+    for name, u1, u2 in (
+        ("kappa", initial[1, 0], initial[2, 0]),
+        ("xi", initial[0, 1], initial[0, 2]),
+    ):
+        pairs[name] = (2 * u1, 2 * u1 * u1 - u2)
+    return pairs
 
 
 def zeta_combined(i, j):
@@ -21,34 +38,34 @@ def zeta_combined(i, j):
     """
     if i < 2 or j < 2:
         raise ValueError(f"combined recurrence needs i, j >= 2, got ({i}, {j})")
-    sk, sx = sigma_pair("kappa"), sigma_pair("xi")
+    pairs = sigma_pairs()
+    (k1, k2), (x1, x2) = pairs["kappa"], pairs["xi"]
     return (
-        (sx.sigma1 * sk.sigma1) * zeta(i - 1, j - 1)
-        - (sx.sigma2 * sk.sigma1) * zeta(i - 1, j - 2)
-        - (sx.sigma1 * sk.sigma2) * zeta(i - 2, j - 1)
-        + (sx.sigma2 * sk.sigma2) * zeta(i - 2, j - 2)
+        (x1 * k1) * zeta(i - 1, j - 1)
+        - (x2 * k1) * zeta(i - 1, j - 2)
+        - (x1 * k2) * zeta(i - 2, j - 1)
+        + (x2 * k2) * zeta(i - 2, j - 2)
     )
 
 
 class SparseZeta:
     def __init__(self):
         self.memo = zeta_initial()
-        self.kappa = sigma_pair("kappa")
-        self.xi = sigma_pair("xi")
+        pairs = sigma_pairs()
+        self.kappa, self.xi = pairs["kappa"], pairs["xi"]
 
     def __call__(self, i, j):
         memo = self.memo
         if (i, j) in memo:
             return memo[i, j]
+        (k1, k2), (x1, x2) = self.kappa, self.xi
         for jj in (0, 1):
             for ii in range(2, i + 1):
                 if (ii, jj) not in memo:
-                    memo[ii, jj] = (
-                        self.kappa.sigma1 * memo[ii - 1, jj] - self.kappa.sigma2 * memo[ii - 2, jj]
-                    )
+                    memo[ii, jj] = k1 * memo[ii - 1, jj] - k2 * memo[ii - 2, jj]
         for jj in range(2, j + 1):
             if (i, jj) not in memo:
-                memo[i, jj] = self.xi.sigma1 * memo[i, jj - 1] - self.xi.sigma2 * memo[i, jj - 2]
+                memo[i, jj] = x1 * memo[i, jj - 1] - x2 * memo[i, jj - 2]
         return memo[i, j]
 
     def unitize(self, p, i):
