@@ -1,5 +1,11 @@
 """Command-line surface: expansions, tower polynomials, valuation tables,
-congruence verification and scanning, with plain/json/csv output."""
+congruence verification and scanning, with plain/json/csv output.
+
+Each call is a cold process, so start-up counts: importing this module loads
+the package and argparse but none of the heavier standard modules (the
+records, ``RunConfig`` among them, are ``_record.Record`` classes, which need
+no code generation at import).
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
 from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
 from .padic import INFINITY, check_f_profile
@@ -26,8 +32,8 @@ MAX_ORDER = 2**17
 MAX_LEVEL = {"lambda": 12, "phi": 10, "zeta": 1536}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
+    __slots__ = ("command", "output_format", "out_path", "order", "params")
     command: str
     output_format: str  # plain | json | csv
     out_path: str | None

@@ -7,22 +7,24 @@ was checked against: a pass is evidence at that order, never a proof.
 Two spec shapes exist: the internal families PDO(a n) == PDO(b n) (mod 2^e)
 as :class:`CongruenceSpec`, and the Ramanujan-type divisibility families
 PDO(a n + c) == 0 (mod m) as :class:`DivisibilitySpec`.  Each named family is
-defined once, as a spec builder in :data:`FAMILIES`.
+defined once, as a spec builder in :data:`FAMILIES`.  Specs, reports and scan
+results are frozen records (``_record.Record``): validated on construction,
+hashable, equal only within their class, and free to define at import.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
+from ._record import Record
 from .etaq import PdoTable
 from .padic import nu2
 
 
-@dataclass(frozen=True)
-class CongruenceSpec:
+class CongruenceSpec(Record):
     """PDO(lhs_stride * n) == PDO(rhs_stride * n) (mod modulus) over n_range."""
 
+    __slots__ = ("lhs_stride", "rhs_stride", "modulus", "n_range")
     lhs_stride: int
     rhs_stride: int
     modulus: int
@@ -47,10 +49,10 @@ class CongruenceSpec:
         return max(self.lhs_stride, self.rhs_stride) * n
 
 
-@dataclass(frozen=True)
-class DivisibilitySpec:
+class DivisibilitySpec(Record):
     """PDO(stride * n + offset) == 0 (mod modulus) over n_range."""
 
+    __slots__ = ("stride", "offset", "modulus", "n_range")
     stride: int
     offset: int
     modulus: int
@@ -75,8 +77,8 @@ class DivisibilitySpec:
 AnySpec = Union[CongruenceSpec, DivisibilitySpec]
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(Record):
+    __slots__ = ("spec", "verdict", "counterexample", "checked_count", "truncation_order")
     spec: AnySpec
     verdict: str  # "pass" | "fail"
     counterexample: tuple[int, int, int] | None  # (n, lhs, rhs)
@@ -221,10 +223,10 @@ def verify_ramanujan(alpha_max: int, n_max: int, table: PdoTable) -> list[Congru
     return [verify(spec, table) for spec in FAMILIES["ramanujan"](alpha_max, (0, n_max))]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """Largest exponent e <= cap with PDO(a n) == PDO(b n) (mod 2^e) on the window."""
 
+    __slots__ = ("pair", "exponent", "n_range", "truncation_order")
     pair: tuple[int, int]
     exponent: int
     n_range: tuple[int, int]

@@ -29,24 +29,29 @@ also expands the companion functions gamma, xi and kappa used by the
 polynomial tower, and provides a brute-force combinatorial oracle for PDO(n).
 kappa(q) = gamma(q^2)^2 / gamma(q) is itself an eta quotient, so every
 expansion here divides only by sparse Euler and theta factors.
+
+``EtaQuotientSpec`` and ``PdoTable`` are frozen records (``_record.Record``).
+A spec canonicalizes its factors on construction, so two specs built from the
+same factors in any order are equal, hash alike and share one ``expand``
+cache entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, count
 from typing import Iterable, Iterator
 
+from ._record import Record
 from .series import Series
 
 ORACLE_BOUND = 60
 
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
+class EtaQuotientSpec(Record):
     """A formal product prod E(q^m)^e, canonicalized by ascending dilation."""
 
+    __slots__ = ("factors",)
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
@@ -93,10 +98,10 @@ KAPPA = EtaQuotientSpec(((1, -5), (2, 5), (3, 15), (4, 10), (6, -35), (12, 10)))
 NAMED_SPECS = {"delta": DELTA, "gamma": GAMMA, "xi": XI, "kappa": KAPPA}
 
 
-@dataclass(frozen=True)
-class PdoTable:
+class PdoTable(Record):
     """values[n] = PDO(n) for 0 <= n <= max_n."""
 
+    __slots__ = ("values",)
     values: tuple[int, ...]
 
     @property

@@ -7,14 +7,15 @@ and offset addition stay total; never an integer sentinel.
 The profile checkers pin the shape every covered coefficient family has around
 its minimal degree: odd leading coefficient, an offset-1 slot that is exactly 1
 in one residue class and >= 2 otherwise, and valuation >= M+1 from offset
-M >= 2 on.
+M >= 2 on.  ``ValuationProfile`` and ``ProfileReport`` are frozen records
+(``_record.Record``); a report's ``failures`` default to ``()``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .xipoly import XiPoly, phi_poly, zeta
 
 INFINITY = math.inf
@@ -62,10 +63,10 @@ def tau(k: int) -> int:
     return 7 * 2 ** (2 * big_k - 2) - (4 ** (big_k - 1) - 1) // 3
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(Record):
     """vals[M] = nu2(coefficient at base_degree + M) of the profiled polynomial."""
 
+    __slots__ = ("base_degree", "vals")
     base_degree: int
     vals: tuple[Valuation, ...]
 
@@ -77,11 +78,11 @@ def profile(p: XiPoly, base: int, window: int) -> ValuationProfile:
     return ValuationProfile(base, tuple(nu2(p.coeff(base + m)) for m in range(window)))
 
 
-@dataclass(frozen=True)
-class ProfileReport:
+class ProfileReport(Record):
     """Outcome of a family profile check; vals shows the leading window only,
     while failures cover every offset up to the polynomial degree."""
 
+    __slots__ = ("family", "i", "j", "k", "base_degree", "vals", "verdict", "failures")
     family: str  # "Z" or "F"
     i: int | None
     j: int | None
@@ -89,7 +90,8 @@ class ProfileReport:
     base_degree: int
     vals: tuple[Valuation, ...]
     verdict: str  # "pass" | "fail"
-    failures: tuple[str, ...] = ()
+    failures: tuple[str, ...]
+    _defaults = {"failures": ()}
 
     @property
     def passed(self) -> bool:

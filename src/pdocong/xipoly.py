@@ -231,7 +231,10 @@ def _sigma_power(shift: int, d: int) -> XiPoly:
     return XiPoly._row(shift, [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)])
 
 
-@lru_cache(maxsize=8)
+# sixteen entries hold the nine pairs of the lambda walk to lambda_11: (1, 0),
+# (2, 0), (4, 0) and the six that phi_4 .. phi_9 read as well, so
+# phi_poly_direct(9) after phi_poly(3 .. 9) builds no pair again
+@lru_cache(maxsize=16)
 def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
     """zeta_{i,j} and zeta_{i,j+1}, by halving (i, j) down to the initial table.
 

@@ -1,0 +1,192 @@
+"""The frozen value records: construction, validation, equality, hashing,
+immutability, repr and copying, for every report and spec class."""
+
+import copy
+import pickle
+
+import pytest
+
+from pdocong import (
+    CongruenceReport,
+    CongruenceSpec,
+    DivisibilitySpec,
+    EtaQuotientSpec,
+    PdoTable,
+    ProfileReport,
+    ScanResult,
+    ValuationProfile,
+    expand,
+)
+from pdocong.cli import RunConfig
+
+INF = float("inf")
+
+# one record per class, with the repr the package printed when these classes
+# were frozen dataclasses; the reprs must not change
+PINNED = [
+    (
+        CongruenceSpec(8, 2, 8, (0, 5)),
+        "CongruenceSpec(lhs_stride=8, rhs_stride=2, modulus=8, n_range=(0, 5))",
+    ),
+    (
+        DivisibilitySpec(4, 3, 4, (0, 5)),
+        "DivisibilitySpec(stride=4, offset=3, modulus=4, n_range=(0, 5))",
+    ),
+    (
+        CongruenceReport(CongruenceSpec(8, 2, 8, (0, 4)), "fail", (1, 22, 2), 2, 100),
+        "CongruenceReport(spec=CongruenceSpec(lhs_stride=8, rhs_stride=2, modulus=8,"
+        " n_range=(0, 4)), verdict='fail', counterexample=(1, 22, 2), checked_count=2,"
+        " truncation_order=100)",
+    ),
+    (
+        ScanResult((8, 2), 2, (0, 8), 64),
+        "ScanResult(pair=(8, 2), exponent=2, n_range=(0, 8), truncation_order=64)",
+    ),
+    (
+        EtaQuotientSpec(((4, 1), (6, 2), (1, -1), (3, -1), (12, -1))),
+        "EtaQuotientSpec(factors=((1, -1), (3, -1), (4, 1), (6, 2), (12, -1)))",
+    ),
+    (PdoTable((1, 1, 2, 4, 5)), "PdoTable(values=(1, 1, 2, 4, 5))"),
+    (
+        ValuationProfile(3, (0, 1, INF)),
+        "ValuationProfile(base_degree=3, vals=(0, 1, inf))",
+    ),
+    (
+        ProfileReport("F", None, None, 5, 26, (6, 1, INF), "fail", ("offset 2: nu 3 < 4",)),
+        "ProfileReport(family='F', i=None, j=None, k=5, base_degree=26, vals=(6, 1, inf),"
+        " verdict='fail', failures=('offset 2: nu 3 < 4',))",
+    ),
+    (
+        RunConfig("verify", "json", "out.json", 64, {"family": "main", "k": 1}),
+        "RunConfig(command='verify', output_format='json', out_path='out.json', order=64,"
+        " params={'family': 'main', 'k': 1})",
+    ),
+]
+RECORDS = [record for record, _ in PINNED]
+IDS = [type(record).__name__ for record in RECORDS]
+
+
+def _rebuilt(record):
+    """An equal record built separately, from keyword arguments."""
+    return type(record)(**{name: getattr(record, name) for name in record.__slots__})
+
+
+@pytest.mark.parametrize("record, text", PINNED, ids=IDS)
+def test_repr_is_pinned(record, text):
+    assert repr(record) == text
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_equality_and_hash(record):
+    twin = _rebuilt(record)
+    assert twin == record and not twin != record
+    assert twin is not record
+    if isinstance(record, RunConfig):  # its params dict makes it unhashable
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(twin) == hash(record) == hash(record._fields())
+    assert record != record._fields()
+    assert record != object()
+
+
+def test_records_of_different_classes_never_compare_equal():
+    fields = (8, 2, 8, (0, 5))
+    assert CongruenceSpec(*fields) != DivisibilitySpec(*fields)
+    assert CongruenceSpec(*fields) == CongruenceSpec(*fields)
+    assert CongruenceSpec.__eq__(CongruenceSpec(*fields), DivisibilitySpec(*fields)) is NotImplemented
+    assert len({CongruenceSpec(*fields), DivisibilitySpec(*fields)}) == 2
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_records_are_frozen(record):
+    name = record.__slots__[0]
+    value = getattr(record, name)
+    with pytest.raises(AttributeError, match="cannot assign"):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError, match="cannot delete"):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) is value
+    assert not hasattr(record, "__dict__")
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=IDS)
+def test_copy_deepcopy_and_pickle_round_trip(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record
+        assert repr(twin) == repr(record)
+
+
+def test_deepcopy_copies_mutable_fields():
+    config = RunConfig("pdo", "plain", None, None, {"max_n": 3})
+    twin = copy.deepcopy(config)
+    assert twin.params == config.params and twin.params is not config.params
+
+
+def test_keyword_construction_and_the_failures_default():
+    spec = CongruenceSpec(n_range=(0, 3), modulus=4, rhs_stride=1, lhs_stride=2)
+    assert spec == CongruenceSpec(2, 1, 4, (0, 3))
+    report = ProfileReport(
+        family="Z", i=4, j=1, k=None, base_degree=7, vals=(0, 1), verdict="pass"
+    )
+    assert report.failures == ()
+    assert report == ProfileReport("Z", 4, 1, None, 7, (0, 1), "pass", ())
+    assert repr(report).endswith("verdict='pass', failures=())")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CongruenceSpec(8, 2, 8),  # missing n_range
+        lambda: CongruenceSpec(8, 2, 8, (0, 5), 1),  # one field too many
+        lambda: CongruenceSpec(8, 2, 8, (0, 5), extra=1),  # unknown field
+        lambda: CongruenceSpec(8, 2, 8, (0, 5), lhs_stride=8),  # repeated field
+        lambda: ProfileReport("Z", 4, 1, None, 7, (0, 1)),  # verdict has no default
+        lambda: PdoTable(),
+        lambda: RunConfig("pdo", "plain", None, None),
+    ],
+)
+def test_missing_unknown_or_repeated_fields_raise_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CongruenceSpec(0, 1, 2, (0, 1)), "strides must be >= 1: 0, 1"),
+        (lambda: CongruenceSpec(1, 1, 1, (0, 1)), "modulus must be >= 2, got 1"),
+        (lambda: DivisibilitySpec(1, -1, 2, (0, 1)), "bad progression: stride 1, offset -1"),
+        (lambda: DivisibilitySpec(1, 1, 1, (0, 1)), "modulus must be >= 2, got 1"),
+        (lambda: EtaQuotientSpec(((0, 1),)), "dilations must be positive: [0]"),
+        (lambda: EtaQuotientSpec(((1, 1), (1, 2))), "dilations must be pairwise distinct: [1, 1]"),
+        (lambda: EtaQuotientSpec(((1, 0),)), "zero exponents are not allowed in a spec"),
+    ],
+)
+def test_post_init_validation_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_eta_quotient_spec_is_canonical_and_an_expand_cache_key():
+    first = EtaQuotientSpec(((2, 5), (1, -2)))
+    second = EtaQuotientSpec([(1, -2), (2, 5)])
+    assert first.factors == second.factors == ((1, -2), (2, 5))
+    assert first == second and hash(first) == hash(second) and first is not second
+    order = 37
+    expand(first, order)
+    hits = expand.cache_info().hits
+    assert expand(second, order) is expand(first, order)
+    assert expand.cache_info().hits == hits + 2
+
+
+def test_positional_pattern_matching_follows_the_field_order():
+    match CongruenceSpec(8, 2, 8, (0, 5)):
+        case CongruenceSpec(lhs, rhs, modulus, window):
+            assert (lhs, rhs, modulus, window) == (8, 2, 8, (0, 5))
+        case _:
+            pytest.fail("no match")

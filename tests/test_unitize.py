@@ -98,10 +98,34 @@ def test_unitize_walks_from_the_stride_below_p(monkeypatch, low, size):
 
 def test_pair_cache_is_bounded():
     xipoly._pair.cache_clear()
-    for i in range(12):
+    for i in range(20):
         zeta(i, 40)
     info = xipoly._pair.cache_info()
-    assert info.maxsize == 8 and info.currsize == 8
+    assert info.maxsize == 16 and info.currsize == 16
+
+
+def test_direct_route_reuses_the_phi_walk_pairs(monkeypatch):
+    # phi_4 .. phi_9 and the lambda walk to lambda_11 share six ladder pairs;
+    # after the phi tower none of them may be built again
+    shared = {(8, 0), (16, 0), (32, 32), (64, 96), (128, 192), (256, 416)}
+    xipoly._pair.cache_clear()
+    phi_poly.cache_clear()
+    for k in range(3, 10):
+        phi_poly(k)
+    pair, asked, missed = xipoly._pair, [], []
+
+    def spy(i, j):
+        misses = pair.cache_info().misses
+        result = pair(i, j)
+        asked.append((i, j))
+        if pair.cache_info().misses > misses:
+            missed.append((i, j))
+        return result
+
+    monkeypatch.setattr(xipoly, "_pair", spy)
+    xipoly.phi_poly_direct(9)
+    assert shared <= set(asked)
+    assert not shared & set(missed)
 
 
 def test_top_phi_and_lambda_levels_share_one_pair():
