@@ -1,8 +1,8 @@
 """Frozen value records with slots: the base of every report and spec class.
 
 A subclass lists its fields in ``__slots__``, in order, and keeps their
-annotations as documentation; trailing defaults go in ``_defaults``.  An
-optional ``__post_init__`` validates (or canonicalizes, through
+annotations as documentation; every field is required and none has a default.
+An optional ``__post_init__`` validates (or canonicalizes, through
 ``object.__setattr__``) after the fields are set.  Records compare equal only
 to records of the same class with equal fields, hash like their field tuple,
 refuse assignment and deletion with ``AttributeError``, print as
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 class Record:
     __slots__ = ()
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         cls.__match_args__ = cls.__slots__
@@ -32,13 +31,9 @@ class Record:
                 raise TypeError(f"{cls.__name__}() got multiple values for field {name!r}")
             values[name] = value
         for name in names:
-            if name in values:
-                value = values[name]
-            elif name in self._defaults:
-                value = self._defaults[name]
-            else:
+            if name not in values:
                 raise TypeError(f"{cls.__name__}() missing field {name!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, values[name])
         post_init = getattr(self, "__post_init__", None)
         if post_init is not None:
             post_init()

@@ -1,10 +1,10 @@
 """Command-line surface: expansions, tower polynomials, valuation tables,
 congruence verification and scanning, with plain/json/csv output.
 
-Each call is a cold process, so start-up counts: importing this module loads
-the package and argparse but none of the heavier standard modules (the
-records, ``RunConfig`` among them, are ``_record.Record`` classes, which need
-no code generation at import).
+Each subcommand binds its handler with ``set_defaults``; a handler reads the
+parsed ``argparse.Namespace`` directly and returns (exit status, rendered
+output).  Each call is a cold process, so start-up counts: importing this
+module loads the package and argparse but none of the heavier standard modules.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import io
 import json
 import sys
 
-from ._record import Record
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
 from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
 from .padic import INFINITY, check_f_profile
@@ -28,17 +27,11 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # zeta limit holds for --i and --j alike: the dearest cells at or below it,
 # zeta --i 1535 with a small --j, take about 5.5 s and 75 MB cold, and
 # --i 2048 --j 0 takes 9.4 s and 107 MB (one Xeon core, CPython 3.11).
+# ``expand`` runs one sparse pass per unit of sum |e| over the spec's factors,
+# so its order times that sum is held to 6 * MAX_ORDER, delta's six passes at
+# the order limit.
 MAX_ORDER = 2**17
 MAX_LEVEL = {"lambda": 12, "phi": 10, "zeta": 1536}
-
-
-class RunConfig(Record):
-    __slots__ = ("command", "output_format", "out_path", "order", "params")
-    command: str
-    output_format: str  # plain | json | csv
-    out_path: str | None
-    order: int | None
-    params: dict
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,29 +49,36 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pdo", parents=[common, ordered], help="print PDO(0..max)")
+    p.set_defaults(handler=_cmd_pdo)
     p.add_argument("--max", type=int, required=True, dest="max_n")
 
     p = sub.add_parser("expand", parents=[common, ordered], help="expand an eta quotient")
+    p.set_defaults(handler=_cmd_expand)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--name", choices=sorted(NAMED_SPECS))
     group.add_argument("--spec", help="semicolon factors, e.g. 4^1;6^2;1^-1;3^-1;12^-1")
 
     p = sub.add_parser("zeta", parents=[common], help="zeta_{i,j} = U(kappa^i xi^j) in Z[xi]")
+    p.set_defaults(handler=_cmd_zeta)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
 
     p = sub.add_parser("lambda", parents=[common], help="dissection-slice polynomial")
+    p.set_defaults(handler=_cmd_lambda)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("phi", parents=[common], help="internal-difference polynomial")
+    p.set_defaults(handler=_cmd_phi)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("valuations", parents=[common], help="2-adic valuation table of phi coefficients")
+    p.set_defaults(handler=_cmd_valuations)
     p.add_argument("--k", type=int, nargs="+", required=True, help="odd levels, e.g. --k 3 5")
 
     p = sub.add_parser(
         "verify", parents=[common, ordered], help="verify a congruence family over a window"
     )
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--family", choices=(*FAMILIES, "pair"), required=True)
     p.add_argument("--k", type=int, help="family level (main/corollary/strengthened), default 0")
     p.add_argument("--nmax", type=int, required=True, help="check all n with 0 <= n < nmax")
@@ -90,23 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "scan", parents=[common, ordered], help="largest surviving 2-power modulus per stride pair"
     )
+    p.set_defaults(handler=_cmd_scan)
     p.add_argument("--pairs", required=True, help="comma list of a:b pairs, e.g. 8:2,32:8")
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--max-exp", type=int, default=12, dest="max_exp")
 
     return parser
-
-
-def parse_config(argv) -> RunConfig:
-    args = _build_parser().parse_args(argv)
-    params = dict(vars(args))
-    command = params.pop("command")
-    output_format = params.pop("format")
-    out_path = params.pop("out")
-    order = params.pop("order", None)
-    if order is not None and order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return RunConfig(command, output_format, out_path, order, params)
 
 
 def _csv_text(header: list[str], rows) -> str:
@@ -167,53 +156,53 @@ def _limited(order: int) -> int:
     return order
 
 
-def _required_order(config: RunConfig, minimum: int) -> int:
-    return _limited(max(minimum, config.order or 1))
+def _required_order(args: argparse.Namespace, minimum: int) -> int:
+    return _limited(max(minimum, args.order or 1))
 
 
-def _cmd_pdo(config: RunConfig) -> tuple[int, str]:
-    max_n = config.params["max_n"]
-    if max_n < 0:
-        raise ValueError(f"--max must be >= 0, got {max_n}")
-    order = _required_order(config, max_n + 1)
+def _cmd_pdo(args: argparse.Namespace) -> tuple[int, str]:
+    if args.max_n < 0:
+        raise ValueError(f"--max must be >= 0, got {args.max_n}")
+    order = _required_order(args, args.max_n + 1)
     table = pdo_series(order)
-    return 0, _values_text(table.values[: max_n + 1], config.output_format, order)
+    return 0, _values_text(table.values[: args.max_n + 1], args.format, order)
 
 
-def _cmd_expand(config: RunConfig) -> tuple[int, str]:
-    if config.params["name"]:
-        spec = NAMED_SPECS[config.params["name"]]
-    else:
-        spec = EtaQuotientSpec.parse(config.params["spec"])
-    order = _limited(config.order or 10)
-    series = expand(spec, order)
-    return 0, _values_text(series.coeffs, config.output_format, order)
+def _cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
+    spec = NAMED_SPECS[args.name] if args.name else EtaQuotientSpec.parse(args.spec)
+    order = _limited(args.order or 10)
+    passes = sum(abs(e) for _, e in spec.factors)
+    if order * passes > 6 * MAX_ORDER:
+        raise ValueError(
+            f"order {order} times {passes} expansion passes is over the limit {6 * MAX_ORDER}"
+        )
+    return 0, _values_text(expand(spec, order).coeffs, args.format, order)
 
 
-def _level(config: RunConfig, flag: str = "k") -> int:
-    value, limit = config.params[flag], MAX_LEVEL[config.command]
+def _level(args: argparse.Namespace, flag: str = "k") -> int:
+    value, limit = getattr(args, flag), MAX_LEVEL[args.command]
     if value > limit:
-        raise ValueError(f"--{flag} {value} is over the limit {limit} for {config.command}")
+        raise ValueError(f"--{flag} {value} is over the limit {limit} for {args.command}")
     return value
 
 
-def _cmd_zeta(config: RunConfig) -> tuple[int, str]:
-    return 0, _poly_text(zeta(_level(config, "i"), _level(config, "j")), config.output_format)
+def _cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _poly_text(zeta(_level(args, "i"), _level(args, "j")), args.format)
 
 
-def _cmd_lambda(config: RunConfig) -> tuple[int, str]:
-    return 0, _poly_text(lambda_poly(_level(config)), config.output_format)
+def _cmd_lambda(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _poly_text(lambda_poly(_level(args)), args.format)
 
 
-def _cmd_phi(config: RunConfig) -> tuple[int, str]:
-    return 0, _poly_text(phi_poly(_level(config)), config.output_format)
+def _cmd_phi(args: argparse.Namespace) -> tuple[int, str]:
+    return 0, _poly_text(phi_poly(_level(args)), args.format)
 
 
-def _cmd_valuations(config: RunConfig) -> tuple[int, str]:
+def _cmd_valuations(args: argparse.Namespace) -> tuple[int, str]:
     """Rows nu(F_k(tau_k + M)) for each requested odd k; exit 1 on any fail."""
-    reports = [check_f_profile(k) for k in config.params["k"]]
+    reports = [check_f_profile(k) for k in args.k]
     code = 0 if all(r.passed for r in reports) else 1
-    fmt = config.output_format
+    fmt = args.format
     if fmt == "json":
         return code, json.dumps([r.to_record() for r in reports])
     if fmt == "csv":
@@ -237,13 +226,31 @@ _FAMILY_FLAGS = {family: ("k",) for family in FAMILIES}
 _FAMILY_FLAGS.update(ramanujan=("alpha_max",), pair=("lhs", "rhs", "mod_exp"))
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, str]:
-    family = config.params["family"]
-    nmax = config.params["nmax"]
+def _n1_fits(family: str, level: int) -> bool:
+    specs = FAMILIES[family](level, (0, 2))
+    return max(spec.max_index(1) for spec in specs) < MAX_ORDER
+
+
+def _check_family_level(family: str, flag: str, level: int) -> None:
+    """Refuse a level at which n = 1 already needs a table past MAX_ORDER,
+    before its specs are built: they can be huge there.  Every family's
+    indices grow with its level, so one failing probe below refuses it too."""
+    probe = 1
+    while probe < level and _n1_fits(family, probe):
+        probe *= 2
+    if not _n1_fits(family, min(probe, level)):
+        raise ValueError(
+            f"--{flag.replace('_', '-')} {level} is too large for --family {family}: "
+            f"n >= 1 needs a truncation order over the limit {MAX_ORDER}"
+        )
+
+
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+    family, nmax = args.family, args.nmax
     ignored = [
         "--" + key.replace("_", "-")
         for key in ("k", "alpha_max", "lhs", "rhs", "mod_exp")
-        if config.params[key] is not None and key not in _FAMILY_FLAGS[family]
+        if getattr(args, key) is not None and key not in _FAMILY_FLAGS[family]
     ]
     if ignored:
         raise ValueError(f"--family {family} takes no {', '.join(ignored)}")
@@ -251,21 +258,21 @@ def _cmd_verify(config: RunConfig) -> tuple[int, str]:
         raise ValueError(f"--nmax must be >= 1, got {nmax}")
     window = (0, nmax)
     if family == "pair":
-        lhs, rhs, mod_exp = (config.params[key] for key in ("lhs", "rhs", "mod_exp"))
-        if lhs is None or rhs is None or mod_exp is None:
+        if args.lhs is None or args.rhs is None or args.mod_exp is None:
             raise ValueError("family=pair needs --lhs, --rhs and --mod-exp")
-        if mod_exp < 1:
-            raise ValueError(f"--mod-exp must be >= 1, got {mod_exp}")
-        specs = [CongruenceSpec(lhs, rhs, 2**mod_exp, window)]
+        if args.mod_exp < 1:
+            raise ValueError(f"--mod-exp must be >= 1, got {args.mod_exp}")
+        specs = [CongruenceSpec(args.lhs, args.rhs, 2**args.mod_exp, window)]
     else:
         [flag] = _FAMILY_FLAGS[family]
-        level = config.params[flag]
-        specs = FAMILIES[family](0 if level is None else level, window)
+        level = getattr(args, flag) or 0
+        _check_family_level(family, flag, level)
+        specs = FAMILIES[family](level, window)
     needed = max(spec.max_index(nmax - 1) for spec in specs) + 1
-    table = pdo_series(_required_order(config, needed))
+    table = pdo_series(_required_order(args, needed))
     reports = [verify(spec, table) for spec in specs]
     code = 0 if all(r.passed for r in reports) else 1
-    return code, _reports_text(reports, config.output_format)
+    return code, _reports_text(reports, args.format)
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -284,15 +291,14 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _cmd_scan(config: RunConfig) -> tuple[int, str]:
-    pairs = _parse_pairs(config.params["pairs"])
-    nmax = config.params["nmax"]
-    if nmax < 1:
-        raise ValueError(f"--nmax must be >= 1, got {nmax}")
+def _cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
+    pairs = _parse_pairs(args.pairs)
+    if args.nmax < 1:
+        raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
     biggest = max(max(a, b) for a, b in pairs)
-    table = pdo_series(_required_order(config, biggest * (nmax - 1) + 1))
-    results = scan(table, pairs, config.params["max_exp"])
-    fmt = config.output_format
+    table = pdo_series(_required_order(args, biggest * (args.nmax - 1) + 1))
+    results = scan(table, pairs, args.max_exp)
+    fmt = args.format
     if fmt == "json":
         return 0, json.dumps([r.to_record() for r in results])
     if fmt == "csv":
@@ -308,36 +314,22 @@ def _cmd_scan(config: RunConfig) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-_HANDLERS = {
-    "pdo": _cmd_pdo,
-    "expand": _cmd_expand,
-    "zeta": _cmd_zeta,
-    "lambda": _cmd_lambda,
-    "phi": _cmd_phi,
-    "valuations": _cmd_valuations,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-}
-
-
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit status, rendered report)."""
-    return _HANDLERS[config.command](config)
-
-
 def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
-        config = parse_config(argv)
-        code, text = run(config)
+        order = getattr(args, "order", None)
+        if order is not None and order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
+        code, text = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.out_path:
+    if args.out:
         try:
-            with open(config.out_path, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            print(f"error: cannot write --out {config.out_path}: {exc.strerror}", file=sys.stderr)
+            print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     elif text:
         print(text)

@@ -9,7 +9,9 @@ as :class:`CongruenceSpec`, and the Ramanujan-type divisibility families
 PDO(a n + c) == 0 (mod m) as :class:`DivisibilitySpec`.  Each named family is
 defined once, as a spec builder in :data:`FAMILIES`.  Specs, reports and scan
 results are frozen records (``_record.Record``): validated on construction,
-hashable, equal only within their class, and free to define at import.
+hashable, equal only within their class, and free to define at import.  A
+report stores its evidence only: ``passed`` and ``verdict`` are read from its
+counterexample, so the two can never disagree.
 """
 
 from __future__ import annotations
@@ -78,16 +80,21 @@ AnySpec = Union[CongruenceSpec, DivisibilitySpec]
 
 
 class CongruenceReport(Record):
-    __slots__ = ("spec", "verdict", "counterexample", "checked_count", "truncation_order")
+    """Outcome of ``verify``: it passed exactly when it carries no counterexample."""
+
+    __slots__ = ("spec", "counterexample", "checked_count", "truncation_order")
     spec: AnySpec
-    verdict: str  # "pass" | "fail"
     counterexample: tuple[int, int, int] | None  # (n, lhs, rhs)
     checked_count: int
     truncation_order: int
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return self.counterexample is None
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_record(self) -> dict:
         if isinstance(self.spec, CongruenceSpec):
@@ -128,13 +135,7 @@ def verify(spec: AnySpec, table: PdoTable) -> CongruenceReport:
         if (lhs - rhs) % spec.modulus:
             counterexample = (n, lhs, rhs)
             break
-    return CongruenceReport(
-        spec=spec,
-        verdict="fail" if counterexample else "pass",
-        counterexample=counterexample,
-        checked_count=checked,
-        truncation_order=table.max_n + 1,
-    )
+    return CongruenceReport(spec, counterexample, checked, table.max_n + 1)
 
 
 def _check_level(name: str, level: int) -> None:

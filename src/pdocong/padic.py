@@ -7,8 +7,11 @@ and offset addition stay total; never an integer sentinel.
 The profile checkers pin the shape every covered coefficient family has around
 its minimal degree: odd leading coefficient, an offset-1 slot that is exactly 1
 in one residue class and >= 2 otherwise, and valuation >= M+1 from offset
-M >= 2 on.  ``ValuationProfile`` and ``ProfileReport`` are frozen records
-(``_record.Record``); a report's ``failures`` default to ``()``.
+M >= 2 on.  Both checkers walk their offsets up to the degree with one
+helper, ``_offset_failures``, after their own leading checks.
+``ValuationProfile`` and ``ProfileReport`` are frozen records
+(``_record.Record``); a report stores its ``failures`` only, and ``passed``
+and ``verdict`` are read from them.
 """
 
 from __future__ import annotations
@@ -82,20 +85,22 @@ class ProfileReport(Record):
     """Outcome of a family profile check; vals shows the leading window only,
     while failures cover every offset up to the polynomial degree."""
 
-    __slots__ = ("family", "i", "j", "k", "base_degree", "vals", "verdict", "failures")
+    __slots__ = ("family", "i", "j", "k", "base_degree", "vals", "failures")
     family: str  # "Z" or "F"
     i: int | None
     j: int | None
     k: int | None
     base_degree: int
     vals: tuple[Valuation, ...]
-    verdict: str  # "pass" | "fail"
     failures: tuple[str, ...]
-    _defaults = {"failures": ()}
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not self.failures
+
+    @property
+    def verdict(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_record(self) -> dict:
         record = {"family": self.family}
@@ -114,8 +119,24 @@ class ProfileReport(Record):
 DEFAULT_WINDOW = 10
 
 
-def _window_vals(p: XiPoly, base: int, span: int) -> tuple[Valuation, ...]:
-    return profile(p, base, min(DEFAULT_WINDOW, max(span + 1, 1))).vals
+def _span(p: XiPoly, base: int) -> int:
+    deg = p.degree()
+    return (deg - base) if deg is not None else 0
+
+
+def _window_vals(p: XiPoly, base: int) -> tuple[Valuation, ...]:
+    return profile(p, base, min(DEFAULT_WINDOW, max(_span(p, base) + 1, 1))).vals
+
+
+def _offset_failures(p: XiPoly, base: int, floor: int, first: int) -> list[str]:
+    """One message per offset m from ``first`` up to the degree of p where
+    nu2(p.coeff(base + m)) falls below floor + m."""
+    failures = []
+    for m in range(first, _span(p, base) + 1):
+        v = nu2(p.coeff(base + m))
+        if v < floor + m:
+            failures.append(f"offset-{m} valuation {v}, expected >= {floor + m}")
+    return failures
 
 
 def check_z_profile(i: int, j: int) -> ProfileReport:
@@ -142,7 +163,6 @@ def check_z_profile(i: int, j: int) -> ProfileReport:
 
     p = zeta(i, j)
     d = d_min(i, j)
-    deg = p.degree()
     failures: list[str] = []
     if p.min_degree() != d:
         failures.append(f"minimal degree {p.min_degree()} != d_min {d}")
@@ -154,21 +174,8 @@ def check_z_profile(i: int, j: int) -> ProfileReport:
             failures.append(f"offset-1 valuation {v1}, expected exactly 1")
     elif v1 < 2:
         failures.append(f"offset-1 valuation {v1}, expected >= 2")
-    span = (deg - d) if deg is not None else 0
-    for m in range(2, span + 1):
-        v = nu2(p.coeff(d + m))
-        if v < m + 1:
-            failures.append(f"offset-{m} valuation {v}, expected >= {m + 1}")
-    return ProfileReport(
-        family="Z",
-        i=i,
-        j=j,
-        k=None,
-        base_degree=d,
-        vals=_window_vals(p, d, span),
-        verdict="fail" if failures else "pass",
-        failures=tuple(failures),
-    )
+    failures += _offset_failures(p, d, 1, 2)
+    return ProfileReport("Z", i, j, None, d, _window_vals(p, d), tuple(failures))
 
 
 def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
@@ -195,19 +202,5 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
     v0 = nu2(p.coeff(t))
     if v0 < 2 * big_k + 3:
         failures.append(f"nu at tau = {v0}, expected >= {2 * big_k + 3}")
-    deg = p.degree()
-    span = (deg - t) if deg is not None else 0
-    for m in range(1, span + 1):
-        v = nu2(p.coeff(t + m))
-        if v < 2 * big_k + m + 2:
-            failures.append(f"offset-{m} valuation {v}, expected >= {2 * big_k + m + 2}")
-    return ProfileReport(
-        family="F",
-        i=None,
-        j=None,
-        k=k,
-        base_degree=t,
-        vals=_window_vals(p, t, span),
-        verdict="fail" if failures else "pass",
-        failures=tuple(failures),
-    )
+    failures += _offset_failures(p, t, 2 * big_k + 2, 1)
+    return ProfileReport("F", None, None, k, t, _window_vals(p, t), tuple(failures))

@@ -2,7 +2,9 @@
 
 The package only writes records (``CongruenceReport.to_record`` and
 ``ProfileReport.to_record``); these rebuild the reports so the tests can check
-that a record keeps every field they compare.
+that a record keeps every field they compare.  A report derives its verdict
+from its evidence, so each reader checks the record's ``"verdict"`` against
+the rebuilt report's.
 """
 
 from pdocong import INFINITY, CongruenceReport, CongruenceSpec, DivisibilitySpec, ProfileReport
@@ -20,24 +22,26 @@ def congruence_from_record(record: dict) -> CongruenceReport:
         )
     ce = record.get("counterexample")
     counterexample = (int(ce["n"]), int(ce["lhs"]), int(ce["rhs"])) if ce else None
-    return CongruenceReport(
+    report = CongruenceReport(
         spec=spec,
-        verdict=record["verdict"],
         counterexample=counterexample,
         checked_count=int(record["checked_count"]),
         truncation_order=int(record["truncation_order"]),
     )
+    assert record["verdict"] == report.verdict, record
+    return report
 
 
 def profile_from_record(record: dict) -> ProfileReport:
     vals = tuple(INFINITY if v == "inf" else int(v) for v in record["vals"])
-    return ProfileReport(
+    report = ProfileReport(
         family=record["family"],
         i=record.get("i"),
         j=record.get("j"),
         k=record.get("k"),
         base_degree=int(record["base_degree"]),
         vals=vals,
-        verdict=record["verdict"],
         failures=tuple(record["failures"]),
     )
+    assert record["verdict"] == report.verdict, record
+    return report

@@ -1,5 +1,6 @@
 import argparse
 import json
+import time
 
 import pytest
 
@@ -17,7 +18,7 @@ from pdocong import (
     zeta,
 )
 from pdocong import cli
-from pdocong.cli import _build_parser, main, parse_config
+from pdocong.cli import _build_parser, main
 from records import congruence_from_record, profile_from_record
 
 
@@ -296,7 +297,7 @@ def _refuse_tables(monkeypatch):
 @pytest.mark.parametrize(
     "argv, order",
     [
-        (["verify", "--family", "main", "--k", "40", "--nmax", "2"], 2**83 + 1),
+        (["verify", "--family", "main", "--k", "1", "--nmax", str(2**78 + 1)], 2**83 + 1),
         (["expand", "--spec", "1^1", "--order", "99999999999999999999"], 99999999999999999999),
         (["expand", "--name", "xi", "--order", "131073"], 131073),
         (["pdo", "--max", "131072"], 131073),
@@ -319,11 +320,75 @@ def test_the_order_limit_is_inclusive(monkeypatch, capsys):
     monkeypatch.setattr(cli, "expand", lambda spec, order: orders.append(order) or expand(spec, 8))
     assert cli.MAX_ORDER == 2**17
     for argv in (["pdo", "--max", "3", "--order", "131072"], ["pdo", "--max", "131071"],
-                 ["expand", "--name", "xi", "--order", "131072"],
+                 ["expand", "--name", "delta", "--order", "131072"],
                  ["scan", "--pairs", "131071:1", "--nmax", "2"]):
         assert main(argv) == 0  # on a short stand-in table: only the order matters here
         capsys.readouterr()
     assert orders == [131072] * 4
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "ramanujan", "--alpha-max", "30000"],
+         "--alpha-max 30000 is too large for --family ramanujan"),
+        (["--family", "main", "--k", "50000000"], "--k 50000000 is too large for --family main"),
+        (["--family", "main", "--k", "40", "--nmax", "2"], "--k 40 is too large for --family main"),
+        # the levels that leave no n >= 1 to check: n = 0 alone is refused with them
+        (["--family", "main", "--k", "7"], "--k 7 is too large for --family main"),
+        (["--family", "corollary", "--k", "7"], "--k 7 is too large for --family corollary"),
+        (["--family", "ramanujan", "--alpha-max", "14"],
+         "--alpha-max 14 is too large for --family ramanujan"),
+    ],
+)
+def test_oversize_family_levels_are_refused_before_any_spec(monkeypatch, capsys, argv, message):
+    _refuse_tables(monkeypatch)
+    argv = ["verify", *argv] + ([] if "--nmax" in argv else ["--nmax", "1"])
+    start = time.process_time()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}: n >= 1 needs a truncation order over the limit 131072\n"
+
+
+def test_the_family_level_limits_are_inclusive():
+    # n = 1 at the top accepted level: PDO(2^15) for main, PDO(2^16) for the
+    # corollary, PDO(15 * 2^13) for ramanujan; strengthened has no level to grow
+    for family, flag, top in (("main", "k", 6), ("corollary", "k", 6),
+                              ("ramanujan", "alpha_max", 13), ("strengthened", "k", 10**9)):
+        for level in (0, 1, 2, 5, top):
+            cli._check_family_level(family, flag, level)
+        if family != "strengthened":
+            with pytest.raises(ValueError, match="over the limit 131072"):
+                cli._check_family_level(family, flag, top + 1)
+
+
+@pytest.mark.parametrize(
+    "argv, order, passes",
+    [
+        (["--name", "kappa", "--order", "131072"], 131072, 80),
+        (["--name", "kappa", "--order", "9831"], 9831, 80),
+        (["--name", "gamma", "--order", "26215"], 26215, 30),
+        (["--name", "xi", "--order", "65537"], 65537, 12),
+        (["--spec", "1^-100000"], 10, 100000),
+    ],
+)
+def test_oversize_expansions_are_refused_up_front(monkeypatch, capsys, argv, order, passes):
+    _refuse_tables(monkeypatch)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "expand", *argv)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: order {order} times {passes} expansion passes is over the limit 786432\n"
+
+
+def test_the_expansion_pass_limit_is_inclusive(monkeypatch, capsys):
+    orders = []
+    monkeypatch.setattr(cli, "expand", lambda spec, order: orders.append(order) or expand(spec, 8))
+    for name, order in (("delta", 131072), ("gamma", 26214), ("xi", 65536), ("kappa", 9830)):
+        assert main(["expand", "--name", name, "--order", str(order)]) == 0
+        capsys.readouterr()
+    assert orders == [131072, 26214, 65536, 9830]
 
 
 @pytest.mark.parametrize("command, k, limit", [("phi", 11, 10), ("lambda", 13, 12)])
@@ -377,7 +442,7 @@ def test_bad_order_exits_2(capsys):
     ],
 )
 def test_order_applies_to_table_commands(argv):
-    assert parse_config([*argv, "--order", "700"]).order == 700
+    assert _build_parser().parse_args([*argv, "--order", "700"]).order == 700
 
 
 @pytest.mark.parametrize(
@@ -403,8 +468,8 @@ def test_verify_pair_refuses_nonpositive_mod_exp(capsys, mod_exp):
 
 
 def test_parse_config_shape():
-    config = parse_config(["zeta", "--i", "2", "--j", "3", "--format", "json"])
-    assert config.command == "zeta"
-    assert config.output_format == "json"
-    assert config.params == {"i": 2, "j": 3}
-    assert config.order is None
+    args = _build_parser().parse_args(["zeta", "--i", "2", "--j", "3", "--format", "json"])
+    assert vars(args) == {
+        "command": "zeta", "format": "json", "out": None, "i": 2, "j": 3,
+        "handler": cli._cmd_zeta,
+    }

@@ -225,7 +225,7 @@ def test_report_record_round_trip():
 
 def test_report_record_serializes_infinity():
     report = ProfileReport(
-        family="Z", i=0, j=0, k=None, base_degree=0, vals=(0, INFINITY), verdict="pass"
+        family="Z", i=0, j=0, k=None, base_degree=0, vals=(0, INFINITY), failures=()
     )
     record = report.to_record()
     assert record["vals"] == [0, "inf"]

@@ -17,12 +17,12 @@ from pdocong import (
     ValuationProfile,
     expand,
 )
-from pdocong.cli import RunConfig
 
 INF = float("inf")
 
 # one record per class, with the repr the package printed when these classes
-# were frozen dataclasses; the reprs must not change
+# were frozen dataclasses, less the two reports' stored verdicts (a report now
+# derives its verdict from its evidence); the reprs must not change
 PINNED = [
     (
         CongruenceSpec(8, 2, 8, (0, 5)),
@@ -33,9 +33,9 @@ PINNED = [
         "DivisibilitySpec(stride=4, offset=3, modulus=4, n_range=(0, 5))",
     ),
     (
-        CongruenceReport(CongruenceSpec(8, 2, 8, (0, 4)), "fail", (1, 22, 2), 2, 100),
+        CongruenceReport(CongruenceSpec(8, 2, 8, (0, 4)), (1, 22, 2), 2, 100),
         "CongruenceReport(spec=CongruenceSpec(lhs_stride=8, rhs_stride=2, modulus=8,"
-        " n_range=(0, 4)), verdict='fail', counterexample=(1, 22, 2), checked_count=2,"
+        " n_range=(0, 4)), counterexample=(1, 22, 2), checked_count=2,"
         " truncation_order=100)",
     ),
     (
@@ -52,14 +52,9 @@ PINNED = [
         "ValuationProfile(base_degree=3, vals=(0, 1, inf))",
     ),
     (
-        ProfileReport("F", None, None, 5, 26, (6, 1, INF), "fail", ("offset 2: nu 3 < 4",)),
+        ProfileReport("F", None, None, 5, 26, (6, 1, INF), ("offset 2: nu 3 < 4",)),
         "ProfileReport(family='F', i=None, j=None, k=5, base_degree=26, vals=(6, 1, inf),"
-        " verdict='fail', failures=('offset 2: nu 3 < 4',))",
-    ),
-    (
-        RunConfig("verify", "json", "out.json", 64, {"family": "main", "k": 1}),
-        "RunConfig(command='verify', output_format='json', out_path='out.json', order=64,"
-        " params={'family': 'main', 'k': 1})",
+        " failures=('offset 2: nu 3 < 4',))",
     ),
 ]
 RECORDS = [record for record, _ in PINNED]
@@ -81,11 +76,7 @@ def test_equality_and_hash(record):
     twin = _rebuilt(record)
     assert twin == record and not twin != record
     assert twin is not record
-    if isinstance(record, RunConfig):  # its params dict makes it unhashable
-        with pytest.raises(TypeError):
-            hash(record)
-    else:
-        assert hash(twin) == hash(record) == hash(record._fields())
+    assert hash(twin) == hash(record) == hash(record._fields())
     assert record != record._fields()
     assert record != object()
 
@@ -121,20 +112,41 @@ def test_copy_deepcopy_and_pickle_round_trip(record):
 
 
 def test_deepcopy_copies_mutable_fields():
-    config = RunConfig("pdo", "plain", None, None, {"max_n": 3})
-    twin = copy.deepcopy(config)
-    assert twin.params == config.params and twin.params is not config.params
+    profile = ValuationProfile(3, [0, 1])  # records do not check field types
+    twin = copy.deepcopy(profile)
+    assert twin.vals == profile.vals and twin.vals is not profile.vals
 
 
-def test_keyword_construction_and_the_failures_default():
+def test_keyword_construction_needs_every_field():
     spec = CongruenceSpec(n_range=(0, 3), modulus=4, rhs_stride=1, lhs_stride=2)
     assert spec == CongruenceSpec(2, 1, 4, (0, 3))
-    report = ProfileReport(
-        family="Z", i=4, j=1, k=None, base_degree=7, vals=(0, 1), verdict="pass"
-    )
-    assert report.failures == ()
-    assert report == ProfileReport("Z", 4, 1, None, 7, (0, 1), "pass", ())
-    assert repr(report).endswith("verdict='pass', failures=())")
+    report = ProfileReport(family="Z", i=4, j=1, k=None, base_degree=7, vals=(0, 1), failures=())
+    assert report == ProfileReport("Z", 4, 1, None, 7, (0, 1), ())
+    assert repr(report).endswith("vals=(0, 1), failures=())")
+    with pytest.raises(TypeError, match="missing field 'failures'"):
+        ProfileReport(family="Z", i=4, j=1, k=None, base_degree=7, vals=(0, 1))
+
+
+def test_reports_derive_their_verdict_and_refuse_a_stored_one():
+    spec = CongruenceSpec(8, 2, 8, (0, 4))
+    reports = {
+        "fail": [
+            CongruenceReport(spec, (1, 22, 2), 2, 100),
+            ProfileReport("F", None, None, 5, 26, (6,), ("nu at tau = 6, expected >= 7",)),
+        ],
+        "pass": [
+            CongruenceReport(spec, None, 4, 100),
+            ProfileReport("F", None, None, 5, 26, (7,), ()),
+        ],
+    }
+    for verdict, group in reports.items():
+        for report in group:
+            assert report.verdict == verdict and report.passed == (verdict == "pass")
+            assert report.to_record()["verdict"] == verdict
+            assert "verdict" not in report.__slots__
+            fields = {name: getattr(report, name) for name in report.__slots__}
+            with pytest.raises(TypeError, match="unexpected field 'verdict'"):
+                type(report)(**fields, verdict=verdict)
 
 
 @pytest.mark.parametrize(
@@ -144,9 +156,9 @@ def test_keyword_construction_and_the_failures_default():
         lambda: CongruenceSpec(8, 2, 8, (0, 5), 1),  # one field too many
         lambda: CongruenceSpec(8, 2, 8, (0, 5), extra=1),  # unknown field
         lambda: CongruenceSpec(8, 2, 8, (0, 5), lhs_stride=8),  # repeated field
-        lambda: ProfileReport("Z", 4, 1, None, 7, (0, 1)),  # verdict has no default
+        lambda: ProfileReport("Z", 4, 1, None, 7, (0, 1)),  # failures has no default
         lambda: PdoTable(),
-        lambda: RunConfig("pdo", "plain", None, None),
+        lambda: ProfileReport("Z", 4, 1, None, 7, (0, 1), (), "pass"),  # no verdict field
     ],
 )
 def test_missing_unknown_or_repeated_fields_raise_type_error(build):
