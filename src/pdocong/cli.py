@@ -30,8 +30,13 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # ``expand`` runs one sparse pass per unit of sum |e| over the spec's factors,
 # so its order times that sum is held to 6 * MAX_ORDER, delta's six passes at
 # the order limit.
+# ``verify --family pair`` builds the modulus 2**mod_exp, so --mod-exp is held
+# to MAX_MOD_EXP.  PDO(n) < 2^1208 for every n below MAX_ORDER, so any exponent
+# from 1208 on already asks for equality, and 2^4096 has 1234 decimal digits,
+# inside the interpreter's int-to-str limit that the report's text meets.
 MAX_ORDER = 2**17
 MAX_LEVEL = {"lambda": 12, "phi": 10, "zeta": 1536}
+MAX_MOD_EXP = 4096
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -262,6 +267,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
             raise ValueError("family=pair needs --lhs, --rhs and --mod-exp")
         if args.mod_exp < 1:
             raise ValueError(f"--mod-exp must be >= 1, got {args.mod_exp}")
+        if args.mod_exp > MAX_MOD_EXP:
+            raise ValueError(f"--mod-exp {args.mod_exp} is over the limit {MAX_MOD_EXP}")
         specs = [CongruenceSpec(args.lhs, args.rhs, 2**args.mod_exp, window)]
     else:
         [flag] = _FAMILY_FLAGS[family]

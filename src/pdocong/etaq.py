@@ -24,11 +24,28 @@ because
 ``delta_series`` builds the table this way: the two psi factors are sparse and
 have unit coefficients, so their product is cheap, and only two sparse
 divisions remain.  ``expand`` is the generic eta-quotient route; it serves
-arbitrary specs and is the independent second route for delta.  The module
-also expands the companion functions gamma, xi and kappa used by the
+arbitrary specs and is the independent second route for delta and kappa.  The
+module also expands the companion functions gamma, xi and kappa used by the
 polynomial tower, and provides a brute-force combinatorial oracle for PDO(n).
-kappa(q) = gamma(q^2)^2 / gamma(q) is itself an eta quotient, so every
-expansion here divides only by sparse Euler and theta factors.
+
+kappa(q) = gamma(q^2)^2 / gamma(q) is the eta quotient
+
+    kappa(q) = E(q^2)^5 E(q^3)^15 E(q^4)^10 E(q^12)^10 / (E(q)^5 E(q^6)^35),
+
+whose exponents are all multiples of five.  It is the fifth power of
+
+    T(q) = psi(q) psi(q^2) psi(q^6) / psi(q^3)^3
+         = E(q^2) E(q^3)^3 E(q^4)^2 E(q^12)^2 / (E(q) E(q^6)^7),
+
+because psi(q^m) = E(q^{2m})^2 / E(q^m) gives
+
+    psi(q) psi(q^2) psi(q^6) = E(q^2) E(q^4)^2 E(q^12)^2 / (E(q) E(q^6)),
+    psi(q^3)^3 = E(q^6)^6 / E(q^3)^3.
+
+``kappa_series`` builds T from two sparse unit-coefficient products and three
+divisions by psi(q^3), then takes its fifth power with three dense products,
+where ``expand(KAPPA, order)`` makes 80 eta passes.  Every expansion here
+divides only by sparse Euler and theta factors.
 
 ``EtaQuotientSpec`` and ``PdoTable`` are frozen records (``_record.Record``).
 A spec canonicalizes its factors on construction, so two specs built from the
@@ -88,8 +105,9 @@ class EtaQuotientSpec(Record):
 
 
 # The four named quotients of the tower.  kappa(q) = gamma(q^2)^2 / gamma(q)
-# is itself the eta quotient KAPPA below; kappa_series expands KAPPA and the
-# tests check it against the defining quotient.
+# is itself the eta quotient KAPPA below; kappa_series builds it as a psi
+# quotient to the fifth power, and the tests check it against expand(KAPPA)
+# and the defining quotient.
 DELTA = EtaQuotientSpec(((4, 1), (6, 2), (1, -1), (3, -1), (12, -1)))
 GAMMA = EtaQuotientSpec(((1, 5), (2, 5), (6, 5), (3, -15)))
 XI = EtaQuotientSpec(((2, 5), (6, 1), (1, -1), (3, -5)))
@@ -207,8 +225,16 @@ def xi_series(order: int) -> Series:
 
 
 def kappa_series(order: int) -> Series:
-    """kappa(q) = gamma(q^2)^2 / gamma(q), expanded as the eta quotient KAPPA."""
-    return expand(KAPPA, order)
+    """kappa(q) = gamma(q^2)^2 / gamma(q), as (psi(q) psi(q^2) psi(q^6) / psi(q^3)^3)^5.
+
+    Equal to ``expand(KAPPA, order)``; see the module docstring.  Nothing is
+    memoized: each call builds its series afresh.
+    """
+    base = psi_series(order) * psi_series(order, 2) * psi_series(order, 6)
+    psi3 = psi_series(order, 3)
+    for _ in range(3):
+        base = base.div(psi3)
+    return base**5
 
 
 def pdo_series(order: int) -> PdoTable:

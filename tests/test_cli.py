@@ -467,6 +467,34 @@ def test_verify_pair_refuses_nonpositive_mod_exp(capsys, mod_exp):
     assert err == f"error: --mod-exp must be >= 1, got {mod_exp}\n"
 
 
+@pytest.mark.parametrize("mod_exp", ["4097", "20000", "50000000"])
+def test_verify_pair_refuses_oversize_mod_exp_before_the_modulus(monkeypatch, capsys, mod_exp):
+    _refuse_tables(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError(f"a modulus was built for a refused request: {args}")
+
+    monkeypatch.setattr(cli, "CongruenceSpec", refuse)
+    start = time.process_time()
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "pair", "--lhs", "1", "--rhs", "1", "--mod-exp", mod_exp,
+        "--nmax", "1",
+    )
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: --mod-exp {mod_exp} is over the limit 4096\n"
+
+
+def test_the_mod_exp_limit_is_inclusive(capsys):
+    assert cli.MAX_MOD_EXP == 4096
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "pair", "--lhs", "1", "--rhs", "1", "--mod-exp", "4096",
+        "--nmax", "1",
+    )
+    assert (code, err) == (0, "")
+    assert f"(mod {2**4096})" in out
+
+
 def test_parse_config_shape():
     args = _build_parser().parse_args(["zeta", "--i", "2", "--j", "3", "--format", "json"])
     assert vars(args) == {

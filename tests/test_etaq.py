@@ -113,6 +113,17 @@ def test_constant_terms_are_one():
         assert series.coeff(0) == 1
 
 
+def test_kappa_psi_route_matches_expand_at_every_small_order():
+    # the psi quotient to the fifth power and the generic eta quotient are independent routes
+    for order in range(1, 301):
+        assert kappa_series(order) == expand(KAPPA, order), order
+
+
+@pytest.mark.parametrize("order", [1200, 2400])
+def test_kappa_psi_route_matches_expand_at_large_orders(order):
+    assert kappa_series(order) == expand(KAPPA, order)
+
+
 def test_kappa_matches_its_eta_quotient_form():
     # the second route: kappa(q) = gamma(q^2)^2 / gamma(q), a division by dense gamma
     for order in (1, 2, 80, 1200):
@@ -198,7 +209,7 @@ def test_expansion_caches_are_bounded():
     kappa_series(50)
     info = expand.cache_info()
     assert info.maxsize == 4 and info.currsize == 4
-    # expand is the only memo: E(q) and kappa are rebuilt or read through it
+    # expand is the only memo: E(q) and kappa are rebuilt on every call
     assert not hasattr(euler_series, "cache_info")
     assert not hasattr(kappa_series, "cache_info")
 
