@@ -125,7 +125,7 @@ def test_kappa_psi_route_matches_expand_at_large_orders(order):
 
 
 def test_kappa_matches_its_eta_quotient_form():
-    # the second route: kappa(q) = gamma(q^2)^2 / gamma(q), a division by dense gamma
+    # a third route: kappa(q) = gamma(q^2)^2 / gamma(q), a division by dense gamma
     for order in (1, 2, 80, 1200):
         g = gamma_series(order)
         g2 = g.dilate(2)
