@@ -12,7 +12,8 @@ sigma_{xi,2} = xi(q) xi(-q) = 9 xi - 8 xi^2,
 
     zeta_{i,j} = sigma_{xi,1} * zeta_{i,j-1} - sigma_{xi,2} * zeta_{i,j-2}   (j >= 2),
 
-which _step carries out with those four coefficients written in, and the
+which _step carries out with those four coefficients written in (regrouped
+to two multiplies and a shift per entry), and the
 doubling identity, for a >= c and b >= d,
 
     zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
@@ -26,7 +27,10 @@ unitize(p, i) = U(kappa^i p(xi)) walks the rows zeta_{i,j} in j, two live at a
 time, from the pair zeta_{i,j0}, zeta_{i,j0+1} at the multiple j0 of 32 at or
 below p's lowest degree; the pair comes from halving (i, j0) down to the
 initial table with the doubling identity, so no recurrence runs through every
-smaller i or through the rows below j0.  On top of it sit two towers:
+smaller i or through the rows below j0.  Each row is multiplied by the odd
+part of its coefficient c_j and the products are shifted back by nu_2(c_j):
+the tower's coefficients carry hundreds of trailing zero bits, which would
+otherwise go through every big-integer product.  On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
 phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
 q^n.  lambda_poly walks up from lambda_2 on every call and keeps no level;
@@ -78,10 +82,14 @@ class XiPoly:
     @classmethod
     def _row(cls, low: int, coeffs: Sequence[int]) -> "XiPoly":
         """sum_t coeffs[t] xi^(low + t), trimmed to its first and last nonzero entries."""
-        nonzero = [t for t, c in enumerate(coeffs) if c]
+        start, stop = 0, len(coeffs)
+        while start < stop and not coeffs[start]:
+            start += 1
+        while stop > start and not coeffs[stop - 1]:
+            stop -= 1
         out = cls.__new__(cls)
-        if nonzero:
-            out.low, out.coeffs = low + nonzero[0], tuple(coeffs[nonzero[0] : nonzero[-1] + 1])
+        if start < stop:
+            out.low, out.coeffs = low + start, tuple(coeffs[start:stop])
         else:
             out.low, out.coeffs = 0, ()
         return out
@@ -203,13 +211,18 @@ def zeta_initial() -> dict[tuple[int, int], XiPoly]:
 
 def _step(a: XiPoly, b: XiPoly) -> XiPoly:
     """sigma_{xi,1} a - sigma_{xi,2} b = (10 xi - 8 xi^2) a - (9 xi - 8 xi^2) b,
-    in one pass over the four shifted rows."""
+    in one pass over the four shifted rows.
+
+    With x1, x2 the entries of xi a, xi^2 a and y1, y2 those of xi b, xi^2 b
+    at one degree, the entry 10 x1 - 8 x2 - 9 y1 + 8 y2 is formed as
+    x1 + 9 (x1 - y1) - ((x2 - y2) << 3): two multiplies and a shift.
+    """
     low = min(a.low, b.low) + 1
     high = max(a.low + len(a.coeffs), b.low + len(b.coeffs)) + 2
     a1, a2 = _pad(a.low + 1, a.coeffs, low, high), _pad(a.low + 2, a.coeffs, low, high)
     b1, b2 = _pad(b.low + 1, b.coeffs, low, high), _pad(b.low + 2, b.coeffs, low, high)
     fused = zip(a1, a2, b1, b2)
-    return XiPoly._row(low, [10 * x1 - 8 * x2 - 9 * y1 + 8 * y2 for x1, x2, y1, y2 in fused])
+    return XiPoly._row(low, [x1 + 9 * (x1 - y1) - ((x2 - y2) << 3) for x1, x2, y1, y2 in fused])
 
 
 def _walk(first: XiPoly, second: XiPoly) -> Iterator[XiPoly]:
@@ -282,7 +295,9 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
 
     Walks the xi recurrence in j up from the pair zeta_{i,j0}, zeta_{i,j0+1},
     j0 the multiple of 32 at or below p's lowest degree, two rows live, adding
-    each c_j * zeta_{i,j} into one dense list.
+    each c_j * zeta_{i,j} into one dense list.  The tower's c_j carry hundreds
+    of trailing zero bits, so each row is multiplied by the odd part
+    c_j >> v, v = nu_2(c_j), and every product is shifted back by v.
     """
     if p.is_zero:
         return ZERO
@@ -291,9 +306,11 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     rows = islice(_walk(*_pair(i, j0)), p.low - j0, None)
     for c, row in zip(p.coeffs, rows):
         if c:
+            v = (c & -c).bit_length() - 1
+            c >>= v
             s, r = row.low, row.coeffs
             acc += [0] * (s + len(r) - len(acc))
-            acc[s : s + len(r)] = [x + c * y for x, y in zip(acc[s : s + len(r)], r)]
+            acc[s : s + len(r)] = [x + (c * y << v) for x, y in zip(acc[s : s + len(r)], r)]
     return XiPoly._row(0, acc)
 
 

@@ -60,6 +60,23 @@ def test_unitize_matches_sparse_sum(oracle, terms, i):
     assert unitize(p, i) == oracle.unitize(p, i)
 
 
+# +-2^e u with u odd, or +-2^e alone, as the tower's coefficients are: unitize
+# multiplies each row by the odd part and shifts the products back by e
+two_adic = st.builds(
+    lambda sign, e, u: sign * (u << e),
+    st.sampled_from((1, -1)),
+    st.integers(0, 600),
+    st.one_of(st.just(1), st.integers(0, 2**80).map(lambda u: 2 * u + 1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.integers(0, 40), two_adic, min_size=1, max_size=6), st.sampled_from((0, 1, 3, 64)))
+def test_unitize_matches_sparse_sum_on_two_adic_coefficients(oracle, terms, i):
+    p = XiPoly(terms)
+    assert unitize(p, i) == oracle.unitize(p, i)
+
+
 # the ladder's cells: small i and j, odd and even i around powers of two, and
 # the j at which the top phi and lambda levels start (427 for phi_8, lambda_10)
 PAIR_I = [*range(18), 31, 33, 127, 128, 255, 256]

@@ -332,6 +332,19 @@ def test_poly_row_matches_naive_arithmetic(a, b):
     assert (pa == pb) == (dense(pa, 41) == dense(pb, 41))
 
 
+@given(st.lists(st.integers(-2, 2), max_size=12), st.integers(0, 9))
+def test_row_trims_to_first_and_last_nonzero(coeffs, low):
+    # zero rows, rows with zeros at either end and interior zeros alike
+    nonzero = [t for t, c in enumerate(coeffs) if c]
+    row = XiPoly._row(low, coeffs)
+    if nonzero:
+        assert row.low == low + nonzero[0]
+        assert row.coeffs == tuple(coeffs[nonzero[0] : nonzero[-1] + 1])
+    else:
+        assert (row.low, row.coeffs) == (0, ())
+    assert row == XiPoly({low + t: c for t, c in enumerate(coeffs)})
+
+
 @given(gappy_terms, gappy_terms, st.integers(0, 90), st.integers(0, 90))
 def test_step_is_the_xi_recurrence(a, b, shift_a, shift_b):
     # gappy rows, the zero row and rows at unrelated offsets, against the
