@@ -1,6 +1,8 @@
 import argparse
+import hashlib
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -501,3 +503,107 @@ def test_parse_config_shape():
         "command": "zeta", "format": "json", "out": None, "i": 2, "j": 3,
         "handler": cli._cmd_zeta,
     }
+
+
+FORMATS = ("plain", "json", "csv")
+# one call per subcommand (and the exit-1 and exit-2 calls): the SHA-256 of
+# json.dumps([exit code, stdout, stderr]) for --format plain, json and csv,
+# pinned before the commands shared one formatter
+GOLDEN = {
+    "pdo --max 10": (
+        "5b89502d912fcdf126498523cafc7bde8a4c15af1b77e879289f0ab3024a3ef5",
+        "15e85ce96c78881979a216ead1c29718c566e24253b513299b30d8c84a7aa0f4",
+        "2e4c439a767c4a94100005325b5e5fd687158bae3623a8db1bc05247e0328a7b",
+    ),
+    "expand --name xi --order 8": (
+        "8d0f80b526c6c0539f09b4c0bde8ae2f4101c7730632b182288b5a80188fbb3e",
+        "c8a5405fa585c4267e4138a4312153b9d3a96e1f6d85f83bf39ab0640967223c",
+        "25ee39c691180de2a3eec1ca3f2718f4a44c0800b21f39abab9625eea15ddaf6",
+    ),
+    "expand --spec 4^1;6^2;1^-1;3^-1;12^-1 --order 8": (
+        "e0e4d83c961577a3edcec0b534d113c40c92a5d91f682e25ed0b57b6cb7ceb1b",
+        "f49c33ca9ff3efbd18d6fd958003b10a497510e86f3c5bdfe4927fd1df08002f",
+        "b86399a6c536dffc3381c81fc3d9cadee5d185fa842d6d21580f09cab31fd615",
+    ),
+    "zeta --i 2 --j 5": (
+        "75302fdc4483d3b4d00ff434f7cab16215e1299478bde33d5fbb2f35acd629a4",
+        "54c41617f26d714f0cae00497c2409476c4e4a65d6adcfe26accb08b56c76400",
+        "0dcaee2f222965c2c3f0c933c43c47e040259b0d2636c3ed91e381f699595d8f",
+    ),
+    "lambda --k 4": (
+        "16ec38fb7593234a7b81337d952ce3a324b890121dfddb924352ff197745e98e",
+        "57c8dc6a9ec0ccf1d7bf188addb52ba5a8a91e7b3295f123b82a2ce1a174eb8c",
+        "692ce565b437a6b77b263af5ce264c76dc39b464afa8aec98abeee5c8835c31c",
+    ),
+    "phi --k 3": (
+        "6fd9f303ef2db84c71c6f434067fe7049ace7174c7efe77335e0dce5e8447273",
+        "594777018acb2aed2f89e27ad91b1ddc5181170f63d62471a9975987eef3ba66",
+        "fea66d031597ad07905de66dc7c042af2a57bfd64bf1d71bf3dc38df985a75f7",
+    ),
+    "valuations --k 3 5": (
+        "3a5975b3f7d4866ea331243dc60aa6682d905c0996f49eed3c46d2530b43feec",
+        "e850db14ca49b3c89b286da382ec631b0de43b1cdb6e0209dd59640f9cf4013b",
+        "e2affe45deac416e9437bfbbb2726450189334e72d036a677902e7c1c60da981",
+    ),
+    "verify --family corollary --k 0 --nmax 100": (
+        "3a7104c67aca7036e8aead85ca33c2448279bf24ce79bc39395dfc630aafb327",
+        "55ed99e22e14d6015cec55e54555a377b16d49f24822a1d11646eab18ccebcca",
+        "7bce85ad7cfe8f99ab3507a61d4d03e7b195a459eaa157be5d4bb06d9f19cbe9",
+    ),
+    "verify --family ramanujan --alpha-max 1 --nmax 30": (
+        "1670232c2bed20e333fff0b0471c26c33da7b815025b44795fcba735aad87483",
+        "d2dc1947584e9d27697648ed9a043342d8605ff0bf8b80ad2e9c1da790a2fe80",
+        "172b37f5990325290795432746f4deb549b4e1dc68c8390603175ac70bba36d9",
+    ),
+    "verify --family pair --lhs 32 --rhs 8 --mod-exp 6 --nmax 40": (
+        "0a9b83ec89ce632066ad27ed16dbb4cf1e511a17acf45e894d590573e1b4bb53",
+        "244f0f5d759a0c9e6daa75244de279491bbaad48a604e85e37c754b2cc4e8e88",
+        "b6294ae19f3a7b63cd012a1cc0a36001d92694aee4f8c47afbca7c60c2f97632",
+    ),
+    "scan --pairs 8:2,32:8 --nmax 50 --max-exp 10": (
+        "c48ceb1c4d25d5c112aab9dd9106df1b892ec2409b01132bbc9fb23b5aed0b2c",
+        "8c7bb9a1fec4f34544c77a692e9335801cdf2f277c32997d0ed0bd47f6473d62",
+        "93d2a7f1eda584f536053948a58d78011ddd149621a1ad74a36c3a9550f97692",
+    ),
+    "verify --family main --k 0 --nmax 10": (
+        "05bcdc99b9bed7402471fb61c67c111e76f628309e9da5f797b0c70c90a182fb",
+        "1e9b63b5220db41685771a448b6301e56d61255c4ee1f0e4128a56e9212936e1",
+        "4477173290b9a4660100d489f3a19a64b7d38c5def66ce156b2aa1f3b3602ac0",
+    ),
+    "phi --k 2": (
+        "ee2c18bcc0c4f346bd3ed838b9f6b5685d17ae22f9828d18a3f573820d67d5dd",
+        "ee2c18bcc0c4f346bd3ed838b9f6b5685d17ae22f9828d18a3f573820d67d5dd",
+        "ee2c18bcc0c4f346bd3ed838b9f6b5685d17ae22f9828d18a3f573820d67d5dd",
+    ),
+}
+
+
+def _golden_digest(capsys, call, fmt):
+    code, out, err = run_cli(capsys, *call.split(), "--format", fmt)
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("call", list(GOLDEN))
+def test_golden_bytes(capsys, call, fmt):
+    assert _golden_digest(capsys, call, fmt) == GOLDEN[call][FORMATS.index(fmt)]
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} was called for another format")
+
+    return refuse
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_only_the_asked_format_is_built(monkeypatch, capsys, fmt):
+    # json is dumped only for json, csv written only for csv, str(p) only for plain
+    if fmt != "json":
+        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=_refuse("json.dumps")))
+    if fmt != "csv":
+        monkeypatch.setattr(cli, "csv", SimpleNamespace(writer=_refuse("csv.writer")))
+    if fmt != "plain":
+        monkeypatch.setattr(XiPoly, "__str__", _refuse("XiPoly.__str__"))
+    for call, digests in GOLDEN.items():
+        assert _golden_digest(capsys, call, fmt) == digests[FORMATS.index(fmt)], call
