@@ -1,10 +1,11 @@
 """Command-line surface: expansions, tower polynomials, valuation tables,
 congruence verification and scanning, with plain/json/csv output.
 
-Each subcommand binds its handler with ``set_defaults``; a handler reads the
-parsed ``argparse.Namespace`` directly and returns (exit status, rendered
-output).  Each call is a cold process, so start-up counts: importing this
-module loads the package and argparse but none of the heavier standard modules.
+Each subcommand binds its handler with ``set_defaults``.  A handler reads the
+parsed ``argparse.Namespace``, computes its result and returns its exit status
+and the result's forms; one formatter, ``_render``, builds only the form that
+``--format`` names.  Each call is a cold process, so start-up counts: importing
+this module loads the package and argparse, none of the heavier standard modules.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
 from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
-from .padic import INFINITY, check_f_profile
+from .padic import check_f_profile
 from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
 # Requests past these limits are refused up front with exit 2, before any table
@@ -103,28 +104,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
-
-
-def _poly_text(p: XiPoly, fmt: str) -> str:
+def _render(fmt: str, value, header: list[str], rows, lines) -> str:
+    """The text of a handler's forms in fmt: json dumps value(), csv writes
+    header and rows(), plain joins lines().  Only fmt's thunk is called."""
     if fmt == "json":
-        return json.dumps(p.to_records())
+        return json.dumps(value())
     if fmt == "csv":
-        return _csv_text(["degree", "coefficient"], ((deg, str(c)) for deg, c in p.terms()))
-    return str(p)
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows())
+        return buf.getvalue().rstrip("\n")
+    return "\n".join(lines())
 
 
-def _values_text(values, fmt: str, order: int) -> str:
-    if fmt == "json":
-        return json.dumps({"order": order, "values": [str(v) for v in values]})
-    if fmt == "csv":
-        return _csv_text(["n", "value"], ((n, str(v)) for n, v in enumerate(values)))
-    return "\n".join(str(v) for v in values)
+def _poly_forms(p: XiPoly):
+    return p.to_records, ["degree", "coefficient"], p.terms, lambda: [str(p)]
+
+
+def _values_forms(values, order: int):
+    return (
+        lambda: {"order": order, "values": [str(v) for v in values]},
+        ["n", "value"],
+        lambda: enumerate(values),
+        lambda: map(str, values),
+    )
 
 
 def _report_line(report: CongruenceReport) -> str:
@@ -140,21 +144,6 @@ def _report_line(report: CongruenceReport) -> str:
     return line
 
 
-def _reports_text(reports: list[CongruenceReport], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps([r.to_record() for r in reports])
-    if fmt == "csv":
-        return _csv_text(
-            ["description", "modulus", "n_start", "n_stop", "verdict", "counterexample_n"],
-            (
-                [r.spec.describe(), r.spec.modulus, *r.spec.n_range, r.verdict,
-                 r.counterexample[0] if r.counterexample else ""]
-                for r in reports
-            ),
-        )
-    return "\n".join(_report_line(r) for r in reports)
-
-
 def _limited(order: int) -> int:
     if order > MAX_ORDER:
         raise ValueError(f"truncation order {order} is over the limit {MAX_ORDER}")
@@ -165,15 +154,14 @@ def _required_order(args: argparse.Namespace, minimum: int) -> int:
     return _limited(max(minimum, args.order or 1))
 
 
-def _cmd_pdo(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_pdo(args: argparse.Namespace) -> tuple:
     if args.max_n < 0:
         raise ValueError(f"--max must be >= 0, got {args.max_n}")
     order = _required_order(args, args.max_n + 1)
-    table = pdo_series(order)
-    return 0, _values_text(table.values[: args.max_n + 1], args.format, order)
+    return 0, *_values_forms(pdo_series(order).values[: args.max_n + 1], order)
 
 
-def _cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_expand(args: argparse.Namespace) -> tuple:
     spec = NAMED_SPECS[args.name] if args.name else EtaQuotientSpec.parse(args.spec)
     order = _limited(args.order or 10)
     passes = sum(abs(e) for _, e in spec.factors)
@@ -181,7 +169,7 @@ def _cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
         raise ValueError(
             f"order {order} times {passes} expansion passes is over the limit {6 * MAX_ORDER}"
         )
-    return 0, _values_text(expand(spec, order).coeffs, args.format, order)
+    return 0, *_values_forms(expand(spec, order).coeffs, order)
 
 
 def _level(args: argparse.Namespace, flag: str = "k") -> int:
@@ -191,39 +179,30 @@ def _level(args: argparse.Namespace, flag: str = "k") -> int:
     return value
 
 
-def _cmd_zeta(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, _poly_text(zeta(_level(args, "i"), _level(args, "j")), args.format)
+def _cmd_zeta(args: argparse.Namespace) -> tuple:
+    return 0, *_poly_forms(zeta(_level(args, "i"), _level(args, "j")))
 
 
-def _cmd_lambda(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, _poly_text(lambda_poly(_level(args)), args.format)
+def _cmd_lambda(args: argparse.Namespace) -> tuple:
+    return 0, *_poly_forms(lambda_poly(_level(args)))
 
 
-def _cmd_phi(args: argparse.Namespace) -> tuple[int, str]:
-    return 0, _poly_text(phi_poly(_level(args)), args.format)
+def _cmd_phi(args: argparse.Namespace) -> tuple:
+    return 0, *_poly_forms(phi_poly(_level(args)))
 
 
-def _cmd_valuations(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_valuations(args: argparse.Namespace) -> tuple:
     """Rows nu(F_k(tau_k + M)) for each requested odd k; exit 1 on any fail."""
-    reports = [check_f_profile(k) for k in args.k]
-    code = 0 if all(r.passed for r in reports) else 1
-    fmt = args.format
-    if fmt == "json":
-        return code, json.dumps([r.to_record() for r in reports])
-    if fmt == "csv":
-        return code, _csv_text(
-            ["k", "tau", "offset", "valuation"],
-            (
-                [r.k, r.base_degree, m, "inf" if v == INFINITY else v]
-                for r in reports
-                for m, v in enumerate(r.vals)
-            ),
-        )
-    lines = []
-    for r in reports:
-        vals = ", ".join("inf" if v == INFINITY else str(v) for v in r.vals)
-        lines.append(f"F_{r.k}  tau={r.base_degree}  nu=[{vals}]  verdict={r.verdict}")
-    return code, "\n".join(lines)
+    records = [check_f_profile(k).to_record() for k in args.k]
+    return (
+        0 if all(r["verdict"] == "pass" for r in records) else 1,
+        lambda: records,
+        ["k", "tau", "offset", "valuation"],
+        lambda: ([r["k"], r["base_degree"], m, v]
+                 for r in records for m, v in enumerate(r["vals"])),
+        lambda: (f"F_{r['k']}  tau={r['base_degree']}  nu=[{', '.join(map(str, r['vals']))}]  "
+                 f"verdict={r['verdict']}" for r in records),
+    )
 
 
 # the verify flags each family reads; any other one given is refused
@@ -250,7 +229,7 @@ def _check_family_level(family: str, flag: str, level: int) -> None:
         )
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify(args: argparse.Namespace) -> tuple:
     family, nmax = args.family, args.nmax
     ignored = [
         "--" + key.replace("_", "-")
@@ -278,8 +257,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     needed = max(spec.max_index(nmax - 1) for spec in specs) + 1
     table = pdo_series(_required_order(args, needed))
     reports = [verify(spec, table) for spec in specs]
-    code = 0 if all(r.passed for r in reports) else 1
-    return code, _reports_text(reports, args.format)
+    return (
+        0 if all(r.passed for r in reports) else 1,
+        lambda: [r.to_record() for r in reports],
+        ["description", "modulus", "n_start", "n_stop", "verdict", "counterexample_n"],
+        lambda: ([r.spec.describe(), r.spec.modulus, *r.spec.n_range, r.verdict,
+                  r.counterexample[0] if r.counterexample else ""] for r in reports),
+        lambda: map(_report_line, reports),
+    )
 
 
 def _parse_pairs(text: str) -> list[tuple[int, int]]:
@@ -298,27 +283,21 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _cmd_scan(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_scan(args: argparse.Namespace) -> tuple:
     pairs = _parse_pairs(args.pairs)
     if args.nmax < 1:
         raise ValueError(f"--nmax must be >= 1, got {args.nmax}")
     biggest = max(max(a, b) for a, b in pairs)
     table = pdo_series(_required_order(args, biggest * (args.nmax - 1) + 1))
     results = scan(table, pairs, args.max_exp)
-    fmt = args.format
-    if fmt == "json":
-        return 0, json.dumps([r.to_record() for r in results])
-    if fmt == "csv":
-        return 0, _csv_text(
-            ["lhs_stride", "rhs_stride", "max_exponent", "n_stop"],
-            ([*r.pair, r.exponent, r.n_range[1]] for r in results),
-        )
-    lines = [
-        f"PDO({r.pair[0]}*n) == PDO({r.pair[1]}*n) holds mod 2^{r.exponent} "
-        f"for n in [0, {r.n_range[1]})"
-        for r in results
-    ]
-    return 0, "\n".join(lines)
+    return (
+        0,
+        lambda: [r.to_record() for r in results],
+        ["lhs_stride", "rhs_stride", "max_exponent", "n_stop"],
+        lambda: ([*r.pair, r.exponent, r.n_range[1]] for r in results),
+        lambda: (f"PDO({r.pair[0]}*n) == PDO({r.pair[1]}*n) holds mod 2^{r.exponent} "
+                 f"for n in [0, {r.n_range[1]})" for r in results),
+    )
 
 
 def main(argv=None) -> int:
@@ -327,7 +306,8 @@ def main(argv=None) -> int:
         order = getattr(args, "order", None)
         if order is not None and order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        code, text = args.handler(args)
+        code, *forms = args.handler(args)
+        text = _render(args.format, *forms)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

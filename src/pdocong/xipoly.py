@@ -351,15 +351,16 @@ def lambda_poly(k: int) -> XiPoly:
 def phi_poly(k: int) -> XiPoly:
     """The internal-difference slice gamma^{2^k} sum (PDO(2^{k+2}n) - PDO(2^k n)) q^n.
 
-    Computed from the recurrences: the base case as lambda_poly(5) - gamma^6 *
-    lambda_poly(3), and each further level by unitizing against
-    kappa^{2^{k-1}}.  :func:`phi_poly_direct` gives the independent route used
-    by the consistency tests.  The last eight levels asked for are kept.
+    Computed from the recurrences: the base case as phi_poly_direct(3), that is
+    lambda_5 - gamma^6 lambda_3 from one walk up the lambda tower, and each
+    further level by unitizing against kappa^{2^{k-1}}.  :func:`phi_poly_direct`
+    at k >= 4 gives the independent route used by the consistency tests.  The
+    last eight levels asked for are kept.
     """
     if k < 3:
         raise ValueError(f"phi tower starts at k=3, got {k}")
     if k == 3:
-        return lambda_poly(5) - gamma6_poly() * lambda_poly(3)
+        return phi_poly_direct(3)
     return unitize(phi_poly(k - 1), 2 ** (k - 1))
 
 
