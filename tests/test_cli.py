@@ -507,8 +507,8 @@ def test_parse_config_shape():
 
 FORMATS = ("plain", "json", "csv")
 # one call per subcommand (and the exit-1 and exit-2 calls): the SHA-256 of
-# json.dumps([exit code, stdout, stderr]) for --format plain, json and csv,
-# pinned before the commands shared one formatter
+# json.dumps([exit code, stdout, stderr]) for --format plain, json and csv;
+# a changed digest is a changed output
 GOLDEN = {
     "pdo --max 10": (
         "5b89502d912fcdf126498523cafc7bde8a4c15af1b77e879289f0ab3024a3ef5",
