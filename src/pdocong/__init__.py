@@ -35,7 +35,6 @@ from .etaq import (
 from .padic import (
     INFINITY,
     ProfileReport,
-    ValuationProfile,
     check_f_profile,
     check_z_profile,
     d_min,

@@ -23,14 +23,17 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
 # Requests past these limits are refused up front with exit 2, before any table
 # or polynomial is built.  pdo_series(2**17) takes about 5 s and 55 MB; each
-# tower level costs about 8.5 times the one below, phi_poly(10) about 6 s cold,
-# and lambda_poly(12), which unitizes at phi_poly(10)'s i, about the same.  The
+# tower level costs about 8.5 times the one below; phi --k 10 and lambda --k 12,
+# which unitizes at phi_poly(10)'s i, take about 6 s each cold.  The
 # zeta limit holds for --i and --j alike: the dearest cells at or below it,
 # zeta --i 1535 with a small --j, take about 5.5 s and 75 MB cold, and
 # --i 2048 --j 0 takes 9.4 s and 107 MB (one Xeon core, CPython 3.11).
 # ``expand`` runs one sparse pass per unit of sum |e| over the spec's factors,
 # so its order times that sum is held to 6 * MAX_ORDER, delta's six passes at
-# the order limit.
+# the order limit.  That budget prices every pass like delta's, but a pass
+# over E(q) costs about order * sqrt(order): --spec "1^-6" --order 131072 is
+# accepted and takes 57 s and 361 MB (81 MB of JSON), 1^-24 at order 32768
+# 22 s, 1^-48 at order 16384 15-21 s, and 1^6 at order 131072 19 s.
 # ``verify --family pair`` builds the modulus 2**mod_exp, so --mod-exp is held
 # to MAX_MOD_EXP.  PDO(n) < 2^1208 for every n below MAX_ORDER, so any exponent
 # from 1208 on already asks for equality, and 2^4096 has 1234 decimal digits,
@@ -210,19 +213,13 @@ _FAMILY_FLAGS = {family: ("k",) for family in FAMILIES}
 _FAMILY_FLAGS.update(ramanujan=("alpha_max",), pair=("lhs", "rhs", "mod_exp"))
 
 
-def _n1_fits(family: str, level: int) -> bool:
-    specs = FAMILIES[family](level, (0, 2))
-    return max(spec.max_index(1) for spec in specs) < MAX_ORDER
-
-
 def _check_family_level(family: str, flag: str, level: int) -> None:
     """Refuse a level at which n = 1 already needs a table past MAX_ORDER,
-    before its specs are built: they can be huge there.  Every family's
-    indices grow with its level, so one failing probe below refuses it too."""
-    probe = 1
-    while probe < level and _n1_fits(family, probe):
-        probe *= 2
-    if not _n1_fits(family, min(probe, level)):
+    before its specs are built: they can be huge there.  A family's n = 1
+    index is at least 2^level or does not depend on the level, so one probe
+    at a level of MAX_ORDER's bit length or below decides every level."""
+    specs = FAMILIES[family](min(level, MAX_ORDER.bit_length()), (0, 2))
+    if max(spec.max_index(1) for spec in specs) >= MAX_ORDER:
         raise ValueError(
             f"--{flag.replace('_', '-')} {level} is too large for --family {family}: "
             f"n >= 1 needs a truncation order over the limit {MAX_ORDER}"

@@ -7,11 +7,12 @@ and offset addition stay total; never an integer sentinel.
 The profile checkers pin the shape every covered coefficient family has around
 its minimal degree: odd leading coefficient, an offset-1 slot that is exactly 1
 in one residue class and >= 2 otherwise, and valuation >= M+1 from offset
-M >= 2 on.  Both checkers walk their offsets up to the degree with one
-helper, ``_offset_failures``, after their own leading checks.
-``ValuationProfile`` and ``ProfileReport`` are frozen records
-(``_record.Record``); a report stores its ``failures`` only, and ``passed``
-and ``verdict`` are read from them.
+M >= 2 on.  Each checker reads the valuations from its base degree up to the
+degree of the polynomial in one ``profile`` walk; its leading checks, the
+offset floors of ``_offset_failures`` and the report's leading window (at most
+DEFAULT_WINDOW entries) all read that one tuple.  ``ProfileReport`` is a
+frozen record (``_record.Record``); it stores its ``failures`` only, and
+``passed`` and ``verdict`` are read from them.
 """
 
 from __future__ import annotations
@@ -66,19 +67,11 @@ def tau(k: int) -> int:
     return 7 * 2 ** (2 * big_k - 2) - (4 ** (big_k - 1) - 1) // 3
 
 
-class ValuationProfile(Record):
-    """vals[M] = nu2(coefficient at base_degree + M) of the profiled polynomial."""
-
-    __slots__ = ("base_degree", "vals")
-    base_degree: int
-    vals: tuple[Valuation, ...]
-
-
-def profile(p: XiPoly, base: int, window: int) -> ValuationProfile:
-    """Valuations of ``window`` consecutive coefficients starting at degree ``base``."""
+def profile(p: XiPoly, base: int, window: int) -> tuple[Valuation, ...]:
+    """nu2 of ``window`` consecutive coefficients of p, starting at degree ``base``."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    return ValuationProfile(base, tuple(nu2(p.coeff(base + m)) for m in range(window)))
+    return tuple(nu2(p.coeff(base + m)) for m in range(window))
 
 
 class ProfileReport(Record):
@@ -119,24 +112,13 @@ class ProfileReport(Record):
 DEFAULT_WINDOW = 10
 
 
-def _span(p: XiPoly, base: int) -> int:
-    deg = p.degree()
-    return (deg - base) if deg is not None else 0
-
-
-def _window_vals(p: XiPoly, base: int) -> tuple[Valuation, ...]:
-    return profile(p, base, min(DEFAULT_WINDOW, max(_span(p, base) + 1, 1))).vals
-
-
-def _offset_failures(p: XiPoly, base: int, floor: int, first: int) -> list[str]:
-    """One message per offset m from ``first`` up to the degree of p where
-    nu2(p.coeff(base + m)) falls below floor + m."""
-    failures = []
-    for m in range(first, _span(p, base) + 1):
-        v = nu2(p.coeff(base + m))
-        if v < floor + m:
-            failures.append(f"offset-{m} valuation {v}, expected >= {floor + m}")
-    return failures
+def _offset_failures(vals: tuple[Valuation, ...], floor: int, first: int) -> list[str]:
+    """One message per offset m >= first where vals[m] falls below floor + m."""
+    return [
+        f"offset-{m} valuation {v}, expected >= {floor + m}"
+        for m, v in enumerate(vals[first:], first)
+        if v < floor + m
+    ]
 
 
 def check_z_profile(i: int, j: int) -> ProfileReport:
@@ -163,19 +145,21 @@ def check_z_profile(i: int, j: int) -> ProfileReport:
 
     p = zeta(i, j)
     d = d_min(i, j)
+    span = max((p.degree() or 0) - d, 0)
+    vals = profile(p, d, span + 1)
     failures: list[str] = []
     if p.min_degree() != d:
         failures.append(f"minimal degree {p.min_degree()} != d_min {d}")
-    if nu2(p.coeff(d)) != 0:
-        failures.append(f"nu(coeff at {d}) = {nu2(p.coeff(d))}, expected 0")
-    v1 = nu2(p.coeff(d + 1))
+    if vals[0] != 0:
+        failures.append(f"nu(coeff at {d}) = {vals[0]}, expected 0")
+    v1 = vals[1] if span else INFINITY
     if sharp:
         if v1 != 1:
             failures.append(f"offset-1 valuation {v1}, expected exactly 1")
     elif v1 < 2:
         failures.append(f"offset-1 valuation {v1}, expected >= 2")
-    failures += _offset_failures(p, d, 1, 2)
-    return ProfileReport("Z", i, j, None, d, _window_vals(p, d), tuple(failures))
+    failures += _offset_failures(vals, 1, 2)
+    return ProfileReport("Z", i, j, None, d, vals[:DEFAULT_WINDOW], tuple(failures))
 
 
 def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
@@ -184,7 +168,7 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
     Verifies vanishing below tau(k), nu(F_k(tau_k)) >= 2K+3, and
     nu(F_k(tau_k + M)) >= 2K+M+2 for every further coefficient.  Measured
     cold on one shared Xeon core with CPython 3.11: about 0.03 s at k = 7,
-    0.6 s at k = 9 and 69 s at k = 11 (phi_poly(10) alone takes 6-7 s), in
+    0.6 s at k = 9 and 69 s at k = 11 (phi_poly(10) alone takes about 6 s), in
     under 40 MB; each level costs roughly 10x the previous one.  The guard
     max_k stays 5 until these costs become input budgets.
     """
@@ -195,12 +179,12 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
     big_k = (k - 1) // 2
     p = phi_poly(k)
     t = tau(k)
+    vals = profile(p, t, max((p.degree() or 0) - t, 0) + 1)
     failures: list[str] = []
     low = p.min_degree()
     if low is not None and low < t:
         failures.append(f"nonzero coefficient at degree {low} < tau {t}")
-    v0 = nu2(p.coeff(t))
-    if v0 < 2 * big_k + 3:
-        failures.append(f"nu at tau = {v0}, expected >= {2 * big_k + 3}")
-    failures += _offset_failures(p, t, 2 * big_k + 2, 1)
-    return ProfileReport("F", None, None, k, t, _window_vals(p, t), tuple(failures))
+    if vals[0] < 2 * big_k + 3:
+        failures.append(f"nu at tau = {vals[0]}, expected >= {2 * big_k + 3}")
+    failures += _offset_failures(vals, 2 * big_k + 2, 1)
+    return ProfileReport("F", None, None, k, t, vals[:DEFAULT_WINDOW], tuple(failures))

@@ -175,13 +175,9 @@ class Series:
 
     @classmethod
     def one(cls, order: int) -> "Series":
-        return cls.constant(1, order)
-
-    @classmethod
-    def constant(cls, value: int, order: int) -> "Series":
         if order == 0:
             return cls(())
-        return cls([value] + [0] * (order - 1))
+        return cls([1] + [0] * (order - 1))
 
     @property
     def order(self) -> int:

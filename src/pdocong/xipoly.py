@@ -95,8 +95,8 @@ class XiPoly:
         return out
 
     @classmethod
-    def monomial(cls, degree: int, coeff: int = 1) -> "XiPoly":
-        return cls({degree: coeff})
+    def monomial(cls, degree: int) -> "XiPoly":
+        return cls({degree: 1})
 
     def terms(self) -> tuple[tuple[int, int], ...]:
         """Nonzero (degree, coefficient) pairs, ascending in degree."""

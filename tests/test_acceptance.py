@@ -196,14 +196,14 @@ def test_criterion_6_valuation_tables():
     crit = Criterion(6, "valuation tables for phi_3/phi_5 and the zeta profile families")
     phi3 = phi_poly(3)
     span3 = phi3.degree() - 14
-    vals3 = profile(phi3, 14, span3 + 1).vals
+    vals3 = profile(phi3, 14, span3 + 1)
     crit.check(vals3[:3] == (6, 6, 7), "phi_3 head valuations 6,6,7")
     crit.check(
         all(vals3[m] >= m + 4 for m in range(3, span3 + 1)), "phi_3 tail >= M+4"
     )
     phi5 = phi_poly(5)
     span5 = phi5.degree() - 54
-    vals5 = profile(phi5, 54, span5 + 1).vals
+    vals5 = profile(phi5, 54, span5 + 1)
     crit.check(vals5[:3] == (7, 7, 9), "phi_5 head valuations 7,7,9")
     crit.check(
         all(vals5[m] >= m + 8 for m in range(3, span5 + 1)), "phi_5 tail >= M+8"

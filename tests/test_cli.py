@@ -341,6 +341,10 @@ def test_the_order_limit_is_inclusive(monkeypatch, capsys):
         (["--family", "corollary", "--k", "7"], "--k 7 is too large for --family corollary"),
         (["--family", "ramanujan", "--alpha-max", "14"],
          "--alpha-max 14 is too large for --family ramanujan"),
+        (["--family", "main", "--k", "1000000000000"],
+         "--k 1000000000000 is too large for --family main"),
+        (["--family", "ramanujan", "--alpha-max", "1000000000000"],
+         "--alpha-max 1000000000000 is too large for --family ramanujan"),
     ],
 )
 def test_oversize_family_levels_are_refused_before_any_spec(monkeypatch, capsys, argv, message):
@@ -363,6 +367,16 @@ def test_the_family_level_limits_are_inclusive():
         if family != "strengthened":
             with pytest.raises(ValueError, match="over the limit 131072"):
                 cli._check_family_level(family, flag, top + 1)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_level_reaches_its_power_of_two_or_stays_put(family):
+    # _check_family_level probes one level, min(level, MAX_ORDER's bit length),
+    # which decides every level only while this holds
+    base = FAMILIES[family](0, (0, 2))
+    for level in range(cli.MAX_ORDER.bit_length() + 1):
+        specs = FAMILIES[family](level, (0, 2))
+        assert max(spec.max_index(1) for spec in specs) >= 2**level or specs == base, level
 
 
 @pytest.mark.parametrize(
