@@ -22,7 +22,7 @@ from .padic import check_f_profile
 from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
 # Requests past these limits are refused up front with exit 2, before any table
-# or polynomial is built.  pdo_series(2**17) takes about 5 s and 55 MB; each
+# or polynomial is built.  pdo_series(2**17) takes about 3 s and 60 MB; each
 # tower level costs about 8.5 times the one below; phi --k 10 and lambda --k 12,
 # which unitizes at phi_poly(10)'s i, take about 6 s each cold.  The
 # zeta limit holds for --i and --j alike: the dearest cells at or below it,

@@ -22,11 +22,47 @@ because
     E(q^4) / E(q^2)^2 = 1 / phi(-q^2).
 
 ``delta_series`` builds the table this way: the two psi factors are sparse and
-have unit coefficients, so their product is cheap, and only two sparse
-divisions remain.  ``expand`` is the generic eta-quotient route; it serves
-arbitrary specs and is the independent second route for delta and kappa.  The
-module also expands the companion functions gamma, xi and kappa used by the
-polynomial tower, and provides a brute-force combinatorial oracle for PDO(n).
+have unit coefficients, so their product theta = psi(q) psi(q^3) is cheap, and
+two sparse divisions remain, u = theta / E(q^12) first and delta = u / phi(-q^2)
+second.  1/E(q^12) = sum p(m) q^(12m) grows slowest, so the pass with E(q^12)
+runs on values of at most a few hundred bits instead of the table's full size.
+``expand`` is the generic eta-quotient route; it serves arbitrary specs and is
+the independent second route for delta and kappa.  The module also expands the
+companion functions gamma, xi and kappa used by the polynomial tower, and
+provides a brute-force combinatorial oracle for PDO(n).
+
+Both divisors are series in q^d (d = 12, then 2), so the d residue classes of
+the exponent mod d are d independent recurrences.  Each pass packs the d
+coefficients of step s, values[s d + r] for 0 <= r < d, into one integer with
+lane r at bits r W .. (r + 1) W, divides the packed sequence by the undilated
+divisor (E(q), then phi(-q)) with the plain ``Series.div`` and cuts the
+quotient back into lanes.  The last step's lanes past the order are padded
+with zeros.  This is exact: packing is additive and ``Series.div`` forms only
+integer combinations of its entries, so the packed quotient is
+sum_r 2^(r W) q_r, with q_r the true quotient of lane r, and masking returns
+each q_r as long as every one of them, padded lanes included, lies in
+[0, 2^W).  They are nonnegative because theta, 1/E(q) = sum p(m) q^m and
+1/phi(-q) = sum pbar(m) q^m (pbar counts overpartitions) all are.  With M the
+last step, every lane value is a sum over the numerator's entries of one entry
+times p or pbar at an index <= M, so it is at most (sum of the numerator)
+times p(M) or pbar(M), since p and pbar are nondecreasing (add a part 1).  The
+width is therefore
+
+    W = bits(sum of the numerator) + ceil(c sqrt(M) / ln 2) + 2,
+
+with c = pi sqrt(2/3) for p and c = pi for pbar, by the bounds
+
+    p(m) <= exp(pi sqrt(2m/3)),    pbar(m) <= exp(pi sqrt(m)).
+
+Both follow from one inequality.  For a decreasing f >= 0 and t > 0,
+sum_{k>=1} f(k t) <= (1/t) int_0^inf f.  Put x = e^(-t).  Then
+p(m) x^m <= prod 1/(1 - x^k) = exp(sum f(k t)) with f(u) = -log(1 - e^(-u)),
+whose integral is pi^2/6, so log p(m) <= m t + pi^2/(6t); t = pi/sqrt(6m)
+gives pi sqrt(2m/3).  Likewise pbar(m) x^m <= prod (1 + x^k)/(1 - x^k), with
+f(u) = log((1 + e^(-u))/(1 - e^(-u))), whose integral is pi^2/6 + pi^2/12 =
+pi^2/4, and t = pi/(2 sqrt(m)) gives pi sqrt(m).  The two extra bits absorb
+the rounding of the floating-point logarithm.  At order 32000 the widths are
+209 and 768 bits; the table's largest entry has 591.
 
 kappa(q) = gamma(q^2)^2 / gamma(q) is the eta quotient
 
@@ -55,9 +91,11 @@ cache entry.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from itertools import chain, count
-from typing import Iterable, Iterator
+from itertools import chain, count, repeat
+from operator import add, lshift
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .series import Series
@@ -188,13 +226,18 @@ def expand(spec: EtaQuotientSpec, order: int) -> Series:
     which keeps the cost near O(order^{3/2}) per factor instead of the dense
     O(order^2) of a generic product.  All multiplications come first, while
     the product is still sparse with small coefficients; the divisions then
-    make it dense.  The truncated ring is commutative, so the order of the
-    passes does not change the result.
+    make it dense.  They run from the largest dilation down, E(q^12) before
+    E(q^3) before E(q): the reciprocal 1/E(q^m) = sum p(n) q^(m n) grows
+    least for the largest m, so the early passes leave the coefficients small
+    and only the last ones carry their full size.  This is the rule that also
+    orders ``delta_series``' two passes: least growth per divisor term first.
     """
     _check_order(order)
     euler = euler_series(order)
     result = Series.one(order)
-    for m, e in sorted(spec.factors, key=lambda factor: factor[1] < 0):
+    products = [(m, e) for m, e in spec.factors if e > 0]
+    quotients = [(m, e) for m, e in reversed(spec.factors) if e < 0]
+    for m, e in products + quotients:
         factor = euler.dilate(m)
         if e > 0:
             for _ in range(e):
@@ -205,14 +248,90 @@ def expand(spec: EtaQuotientSpec, order: int) -> Series:
     return result
 
 
-def delta_series(order: int) -> Series:
-    """The PDO generating function, as psi(q) psi(q^3) / (phi(-q^2) E(q^12)).
+# log p(m) <= pi sqrt(2m/3) and log pbar(m) <= pi sqrt(m); see the module docstring.
+_PARTITION_GROWTH = math.pi * math.sqrt(2 / 3)
+_OVERPARTITION_GROWTH = math.pi
 
-    Equal to ``expand(DELTA, order)``; see the module docstring.  Nothing is
-    memoized: each call builds its table afresh.
+
+def _lane_width(values: Sequence[int], d: int, growth: float) -> int:
+    """Bits that hold every lane of values / divisor(q^d), padded lanes included.
+
+    ``values`` are nonnegative and ``growth`` is the c of the bound
+    e^(c sqrt m) on the reciprocal's coefficients.  The bound is taken at the
+    last packed step, m = (len(values) - 1) // d, the one that holds the
+    padded lanes.  Two bits of slack absorb the rounding of the
+    floating-point logarithm.
     """
-    theta = psi_series(order) * psi_series(order, 3)
-    return theta.div(phi_minus_series(order, 2)).div(_sparse(order, 12, _pentagonal_terms()))
+    last = (len(values) - 1) // d
+    return sum(values).bit_length() + math.ceil(growth * math.sqrt(last) / math.log(2)) + 2
+
+
+def _pack(values: Sequence[int], d: int, width: int) -> list[int]:
+    """Step s holds values[s d + r] at bits r width .. (r + 1) width, 0 <= r < d.
+
+    The last step's lanes past the end of ``values`` are zero.  Lane r is
+    added into every step at once, one lane after the other.
+    """
+    packed = [0] * -(-len(values) // d)
+    for r in range(d):
+        lane = values[r::d]
+        packed[: len(lane)] = map(add, packed, map(lshift, lane, repeat(r * width)))
+    return packed
+
+
+def _unpack(packed: list[int], d: int, width: int) -> list[int]:
+    """The d lanes of every step, in order; empties ``packed`` as it goes.
+
+    Each packed integer is freed once its lanes are read, so the packed and
+    the unpacked sequence are never both alive in full.
+    """
+    mask = (1 << width) - 1
+    shifts = range((d - 1) * width, -1, -width)
+    out = []
+    while packed:
+        x = packed.pop()
+        out.extend((x >> shift) & mask for shift in shifts)
+    out.reverse()
+    return out
+
+
+def _lane_quotient(
+    values: list[int], d: int, divisor: Callable[[int], Series], growth: float
+) -> list[int]:
+    """values / divisor(q^d) to len(values) terms, exactly; empties ``values``.
+
+    ``values`` are nonnegative and ``divisor(n)`` gives the first n
+    coefficients of a series whose reciprocal has nonnegative, nondecreasing
+    coefficients of at most e^(growth sqrt m).  The d residue classes mod d
+    are independent recurrences, so they run as the d lanes of one packed
+    sequence through ``Series.div`` against the undilated divisor.
+    """
+    order = len(values)
+    width = _lane_width(values, d, growth)
+    packed = _pack(values, d, width)
+    values.clear()
+    packed = list(Series(packed).div(divisor(len(packed))).coeffs)
+    out = _unpack(packed, d, width)
+    del out[order:]
+    return out
+
+
+def delta_series(order: int) -> Series:
+    """The PDO generating function, as psi(q) psi(q^3) / E(q^12) / phi(-q^2).
+
+    Equal to ``expand(DELTA, order)``.  theta = psi(q) psi(q^3) is divided
+    by E(q^12) in 12 lanes of W1 bits, then by phi(-q^2) in 2 lanes of W2
+    bits, each pass one ``Series.div`` over the packed steps against the
+    undilated divisor.  It is exact because every lane's true quotient,
+    padded lanes included, lies in [0, 2^W): theta, 1/E(q) and 1/phi(-q) are
+    nonnegative, and p(m) <= e^(pi sqrt(2m/3)) and pbar(m) <= e^(pi sqrt(m))
+    bound the quotients; the module docstring proves both bounds.  Nothing
+    is memoized: each call builds its table afresh.
+    """
+    _check_order(order)
+    theta = list((psi_series(order) * psi_series(order, 3)).coeffs)
+    u = _lane_quotient(theta, 12, euler_series, _PARTITION_GROWTH)
+    return Series(_lane_quotient(u, 2, phi_minus_series, _OVERPARTITION_GROWTH))
 
 
 def gamma_series(order: int) -> Series:

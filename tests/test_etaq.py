@@ -18,7 +18,15 @@ from pdocong import (
     pdo_series,
     xi_series,
 )
-from pdocong.etaq import phi_minus_series, psi_series
+from pdocong.etaq import (
+    _OVERPARTITION_GROWTH,
+    _PARTITION_GROWTH,
+    _lane_width,
+    _pack,
+    _unpack,
+    phi_minus_series,
+    psi_series,
+)
 from pdocong.xipoly import poly_to_series, zeta_initial
 
 from naive_series import eta_factor, expand_quotient, pdo_count
@@ -88,6 +96,68 @@ def test_delta_theta_route_matches_expand_at_8000():
     assert delta_series(8000) == expand(DELTA, 8000)
 
 
+LANE_LENGTHS = [1, 2, 11, 13, 25]
+
+
+@pytest.mark.parametrize("d", [2, 12])
+@pytest.mark.parametrize("length", LANE_LENGTHS)
+def test_pack_round_trips_every_lane_at_zero_and_at_its_top(d, length):
+    width = 9
+    top = 2**width - 1
+    distinct = [(37 * n + 5) % 2**width for n in range(length)]
+    for values in ([0] * length, [top] * length, [n % 2 * top for n in range(length)], distinct):
+        packed = _pack(values, d, width)
+        assert len(packed) == -(-length // d)
+        for n, v in enumerate(values):
+            assert (packed[n // d] >> (n % d * width)) & top == v
+        assert _unpack(packed, d, width) == values + [0] * (-length % d)
+        assert packed == []  # unpacking releases the packed steps
+
+
+def _lane_passes(order):
+    """(numerator, d, divisor of order n, growth) for delta's two passes; u by the plain route."""
+    theta = (psi_series(order) * psi_series(order, 3)).coeffs
+    u = Series(theta).div(euler_series(order).dilate(12)).coeffs
+    return (
+        (theta, 12, euler_series, _PARTITION_GROWTH),
+        (u, 2, phi_minus_series, _OVERPARTITION_GROWTH),
+    )
+
+
+@pytest.mark.parametrize("order", LANE_LENGTHS + [32000])
+def test_lane_widths_cover_the_last_packed_step(order):
+    widths = []
+    for values, d, _, growth in _lane_passes(order):
+        last = len(_pack(values, d, 1)) - 1  # the last step, padded lanes and all
+        expected = sum(values).bit_length() + math.ceil(growth * math.sqrt(last) / math.log(2)) + 2
+        assert _lane_width(values, d, growth) == expected
+        widths.append(expected)
+    if order == 32000:
+        assert widths == [209, 768]
+
+
+def test_partition_growth_bounds_hold():
+    # log p(m) <= pi sqrt(2m/3) and log pbar(m) <= pi sqrt(m), the bounds behind the widths
+    p = Series.one(2667).div(euler_series(2667))
+    pbar = Series.one(16000).div(phi_minus_series(16000))
+    for coeffs, growth in ((p, _PARTITION_GROWTH), (pbar, _OVERPARTITION_GROWTH)):
+        assert all(c >= 1 for c in coeffs)
+        assert all(a <= b for a, b in zip(coeffs, coeffs.coeffs[1:]))
+        assert all(math.log(c) <= growth * math.sqrt(m) + 1e-9 for m, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("order", LANE_LENGTHS + [1201, 8000, 31999, 32000])
+def test_lane_widths_bound_every_lane_of_both_passes(order):
+    # each pass against the plain dilated division of the zero-padded numerator
+    for values, d, divisor, growth in _lane_passes(order):
+        width = _lane_width(values, d, growth)
+        padded = list(values) + [0] * (-order % d)
+        true = Series(padded).div(divisor(len(padded)).dilate(d)).coeffs
+        assert all(0 <= c < 2**width for c in true)
+        packed = list(Series(_pack(values, d, width)).div(divisor(len(padded) // d)).coeffs)
+        assert _unpack(packed, d, width) == list(true)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 12])
 def test_theta_series_match_their_eta_quotients(m):
     order = 500
@@ -145,7 +215,8 @@ def test_expansions_divide_only_by_sparse_factors(monkeypatch):
     kappa_series(1200)
     pdo_series(8000)
     expand(XI, 1200)
-    assert {order for _, order in divisors} == {1200, 8000}
+    # pdo_series(8000) divides by E(q) to ceil(8000/12) and by phi(-q) to 8000/2 terms
+    assert {order for _, order in divisors} == {1200, 667, 4000}
     for terms, order in divisors:
         assert terms <= 2 * math.isqrt(order) + 1
 
