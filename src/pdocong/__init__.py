@@ -37,7 +37,6 @@ from .padic import (
     ProfileReport,
     check_f_profile,
     check_z_profile,
-    d_min,
     nu2,
     profile,
     tau,
@@ -45,6 +44,7 @@ from .padic import (
 from .series import NonUnitError, Series
 from .xipoly import (
     XiPoly,
+    d_min,
     gamma6_poly,
     lambda_poly,
     phi_poly,

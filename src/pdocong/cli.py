@@ -23,11 +23,13 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
 # Requests past these limits are refused up front with exit 2, before any table
 # or polynomial is built.  pdo_series(2**17) takes about 3 s and 60 MB; each
-# tower level costs about 8.5 times the one below; phi --k 10 and lambda --k 12,
-# which unitizes at phi_poly(10)'s i, take about 6 s each cold.  The
-# zeta limit holds for --i and --j alike: the dearest cells at or below it,
-# zeta --i 1535 with a small --j, take about 5.5 s and 75 MB cold, and
-# --i 2048 --j 0 takes 9.4 s and 107 MB (one Xeon core, CPython 3.11).
+# top tower level costs about 10 times the one below; phi --k 10 and
+# lambda --k 12, which unitizes at phi_poly(10)'s i, take about 3 s each cold
+# (2.7-3.0 and 2.7-3.7 s, 24 MB).  The zeta limit holds for --i and --j alike:
+# the dearest cells at or below it, zeta --i 1535 with a small --j, take about
+# 2 s and 58 MB cold, and --i 2048 --j 0 takes 2.3-2.7 s and 85 MB (one Xeon
+# core, CPython 3.11).  The limits were set when these calls took about twice
+# as long, and are kept.
 # ``expand`` runs one sparse pass per unit of sum |e| over the spec's factors,
 # so its order times that sum is held to 6 * MAX_ORDER, delta's six passes at
 # the order limit.  That budget prices every pass like delta's, but a pass

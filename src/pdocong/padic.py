@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 from ._record import Record
-from .xipoly import XiPoly, phi_poly, zeta
+from .xipoly import XiPoly, d_min, phi_poly, zeta
 
 INFINITY = math.inf
 
@@ -34,22 +34,6 @@ def nu2(n: int) -> Valuation:
         return INFINITY
     n = abs(n)
     return (n & -n).bit_length() - 1
-
-
-def d_min(i: int, j: int) -> int:
-    """Minimal xi-degree of zeta_{i,j}: the coefficient there is an odd integer.
-
-    Writing i = 2I+r and j = 2J+s: 5I+J for (r,s)=(0,0), 5I+J+1 for (0,1),
-    and 5I+J+3 when i is odd.
-    """
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
-    big_i, r = divmod(i, 2)
-    big_j, s = divmod(j, 2)
-    base = 5 * big_i + big_j
-    if r == 1:
-        return base + 3
-    return base + s
 
 
 def tau(k: int) -> int:
@@ -167,9 +151,9 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
 
     Verifies vanishing below tau(k), nu(F_k(tau_k)) >= 2K+3, and
     nu(F_k(tau_k + M)) >= 2K+M+2 for every further coefficient.  Measured
-    cold on one shared Xeon core with CPython 3.11: about 0.03 s at k = 7,
-    0.6 s at k = 9 and 69 s at k = 11 (phi_poly(10) alone takes about 6 s), in
-    under 40 MB; each level costs roughly 10x the previous one.  The guard
+    cold on one shared Xeon core with CPython 3.11: about 0.015 s at k = 7,
+    0.3 s at k = 9 and 31 s at k = 11 (phi_poly(10) alone takes about 2.5 s),
+    in under 35 MB; each level costs roughly 10x the previous one.  The guard
     max_k stays 5 until these costs become input budgets.
     """
     if k % 2 == 0 or k < 3:

@@ -12,9 +12,7 @@ sigma_{xi,2} = xi(q) xi(-q) = 9 xi - 8 xi^2,
 
     zeta_{i,j} = sigma_{xi,1} * zeta_{i,j-1} - sigma_{xi,2} * zeta_{i,j-2}   (j >= 2),
 
-which _step carries out with those four coefficients written in (regrouped
-to two multiplies and a shift per entry), and the
-doubling identity, for a >= c and b >= d,
+and the doubling identity, for a >= c and b >= d,
 
     zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
 
@@ -27,10 +25,22 @@ unitize(p, i) = U(kappa^i p(xi)) walks the rows zeta_{i,j} in j, two live at a
 time, from the pair zeta_{i,j0}, zeta_{i,j0+1} at the multiple j0 of 32 at or
 below p's lowest degree; the pair comes from halving (i, j0) down to the
 initial table with the doubling identity, so no recurrence runs through every
-smaller i or through the rows below j0.  Each row is multiplied by the odd
-part of its coefficient c_j and the products are shifted back by nu_2(c_j):
-the tower's coefficients carry hundreds of trailing zero bits, which would
-otherwise go through every big-integer product.  On top of it sit two towers:
+smaller i or through the rows below j0.  The walk runs on the rows' 2-adic
+floors.  zeta_{i,j} starts at d_min(i, j) with an odd coefficient, and is a
+stay row when d_min(i, j+1) = d_min(i, j); stay rows and other rows
+alternate.  Its coefficient at offset M above d_min(i, j) is divisible by
+2^f(M), with f(M) = 2M on a stay row and f(0) = 0, f(M) = 2M - 1 on any other
+row, and the walk stores it divided by 2^f(M) (about 29% of the bits of
+zeta_{256,j} are these zeros).  The recurrence maps floored rows to floored
+rows with small integer coefficients (_next_row), so the walk never divides;
+the one division is the checked one that floors the pair, which raises
+ArithmeticError naming the offset if a floor fails.  Each floored entry is
+multiplied by the odd part of its coefficient c_j and shifted back by
+nu_2(c_j) + f(M): the tower's coefficients carry hundreds of trailing zero
+bits, which would otherwise go through every big-integer product.  The
+ladder's products run on 4-adically scaled operands, a = 2^s xi^d A(4 xi)
+with s = min over M of nu_2(a_M) - 2M (_ladder_product), so the kernel
+multiplies entries about half as wide.  On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
 phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
 q^n.  lambda_poly walks up from lambda_2 on every call and keeps no level;
@@ -43,7 +53,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from functools import lru_cache
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import comb
 from threading import Lock
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -209,29 +219,89 @@ def zeta_initial() -> dict[tuple[int, int], XiPoly]:
     }
 
 
-def _step(a: XiPoly, b: XiPoly) -> XiPoly:
-    """sigma_{xi,1} a - sigma_{xi,2} b = (10 xi - 8 xi^2) a - (9 xi - 8 xi^2) b,
-    in one pass over the four shifted rows.
+def d_min(i: int, j: int) -> int:
+    """Minimal xi-degree of zeta_{i,j}: the coefficient there is an odd integer.
 
-    With x1, x2 the entries of xi a, xi^2 a and y1, y2 those of xi b, xi^2 b
-    at one degree, the entry 10 x1 - 8 x2 - 9 y1 + 8 y2 is formed as
-    x1 + 9 (x1 - y1) - ((x2 - y2) << 3): two multiplies and a shift.
+    Writing i = 2I+r and j = 2J+s: 5I+J for (r,s)=(0,0), 5I+J+1 for (0,1),
+    and 5I+J+3 when i is odd.
     """
-    low = min(a.low, b.low) + 1
-    high = max(a.low + len(a.coeffs), b.low + len(b.coeffs)) + 2
-    a1, a2 = _pad(a.low + 1, a.coeffs, low, high), _pad(a.low + 2, a.coeffs, low, high)
-    b1, b2 = _pad(b.low + 1, b.coeffs, low, high), _pad(b.low + 2, b.coeffs, low, high)
-    fused = zip(a1, a2, b1, b2)
-    return XiPoly._row(low, [x1 + 9 * (x1 - y1) - ((x2 - y2) << 3) for x1, x2, y1, y2 in fused])
+    if i < 0 or j < 0:
+        raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
+    big_i, r = divmod(i, 2)
+    big_j, s = divmod(j, 2)
+    base = 5 * big_i + big_j
+    if r == 1:
+        return base + 3
+    return base + s
 
 
-def _walk(first: XiPoly, second: XiPoly) -> Iterator[XiPoly]:
-    """Rows 0, 1, 2, ... of the xi recurrence, built on demand from the first two."""
-    b, a = first, second
-    yield b
+def _floored(row: XiPoly, base: int, stay: bool) -> list[int]:
+    """The coefficients of row at offsets M = 0, 1, ... above base, each divided by 2^f(M).
+
+    f(M) = 2M on a stay row; f(0) = 0 and f(M) = 2M - 1 on any other row.
+    Raises ArithmeticError naming the offset if a coefficient sits below base
+    or is not divisible by its floor.
+    """
+    if row.coeffs and row.low < base:
+        raise ArithmeticError(f"offset {row.low - base}: nonzero coefficient below base degree {base}")
+    out = [0] * (row.low - base) + list(row.coeffs)
+    for m in range(1, len(out)):
+        f = 2 * m - 1 + stay
+        if out[m] & ((1 << f) - 1):
+            v = (out[m] & -out[m]).bit_length() - 1
+            raise ArithmeticError(f"offset {m} above degree {base}: valuation {v} below floor {f}")
+        out[m] >>= f
+    return out
+
+
+def _next_row(alpha: list[int], beta: list[int], stay: bool) -> list[int]:
+    """Floored row j+1 of the xi recurrence from floored rows j (alpha) and j-1 (beta).
+
+    ``stay`` says whether row j is a stay row; the rows alternate, so row j+1
+    is one exactly when row j is not.  Take q = beta, and p_M = alpha_{M-1}
+    after a stay row (row j+1 starts where row j does, row j-1 one degree
+    lower) or p = alpha after any other row; then double the entry 0 of
+    whichever of p, q is not a stay row, whose floor there is 0 and not
+    2*0 - 1.  Entry M of the new row is 5 p_M - p_{M-1} - 9 q_M + 2 q_{M-1},
+    formed as 5 w_M + q_M - w_{M-1} with w_M = p_M - 2 q_M, except entry 0
+    after a stay row: the new row is then not a stay row, and that entry is
+    -9 beta_0.  Every entry is a small-integer combination: the walk never
+    divides.
+    """
+    p = [0] * stay + alpha
+    q = beta[:]
+    n = max(len(p), len(q)) + 1
+    p += [0] * (n - len(p))
+    q += [0] * (n - len(q))
+    head = -9 * q[0]
+    if stay:
+        q[0] <<= 1
+    else:
+        p[0] <<= 1
+    w = [x - (y << 1) for x, y in zip(p, q)]
+    row = [5 * x + y - z for x, y, z in zip(w, q, [0, *w])]
+    if stay:
+        row[0] = head
+    while row and not row[-1]:
+        row.pop()
+    return row
+
+
+def _floored_rows(i: int, j: int) -> Iterator[tuple[int, bool, list[int]]]:
+    """(d_min, stay, floored row) for zeta_{i,j}, zeta_{i,j+1}, ..., built on
+    demand from the ladder's pair at (i, j)."""
+    # zeta_{i,j} is a stay row, d_min(i, j+1) = d_min(i, j), for odd j at even i
+    # and even j at odd i
+    base, stay = d_min(i, j), (i + j) & 1 == 1
+    first, second = _pair(i, j)
+    beta = _floored(first, base, stay)
+    yield base, stay, beta
+    base, stay = base + (not stay), not stay
+    alpha = _floored(second, base, stay)
     while True:
-        yield a
-        b, a = a, _step(a, b)
+        yield base, stay, alpha
+        alpha, beta = _next_row(alpha, beta, stay), alpha
+        base, stay = base + (not stay), not stay
 
 
 # unitize(p, i) starts its walk at the pair (i, j0) for the multiple j0 of
@@ -242,6 +312,36 @@ _PAIR_STRIDE = 32
 def _sigma_power(shift: int, d: int) -> XiPoly:
     """xi^shift * (9 - 8 xi)^d, the binomial coefficients in closed form."""
     return XiPoly._row(shift, [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)])
+
+
+def _times_power_of_two(c: int, e: int) -> int:
+    """c * 2^e; for e < 0, exact only when 2^-e divides c."""
+    return c << e if e >= 0 else c >> -e
+
+
+def _four_adic(a: XiPoly) -> tuple[int, list[int]]:
+    """(s, A) with a = 2^s xi^low A(4 xi): s = min over M of nu_2(a_M) - 2M,
+    so every entry of A is an integer."""
+    s = min((c & -c).bit_length() - 1 - 2 * m for m, c in enumerate(a.coeffs) if c)
+    return s, [_times_power_of_two(c, -s - 2 * m) for m, c in enumerate(a.coeffs)]
+
+
+def _ladder_product(a: XiPoly, b: XiPoly, e: int = 0) -> XiPoly:
+    """2^e a b, multiplied on the 4-adically scaled rows.
+
+    With a = 2^s xi^d A(4 xi) and b = 2^t xi^d' B(4 xi), the coefficient of
+    xi^(d + d' + N) is 2^(e + s + t + 2N) (AB)_N, an integer whatever the
+    floors are; A and B are about half as wide as a and b.  When ``b is a``
+    the one scaled row goes to the kernel twice, so it is packed once.
+    """
+    if not (a.coeffs and b.coeffs):
+        return ZERO
+    s, big_a = _four_adic(a)
+    t, big_b = (s, big_a) if b is a else _four_adic(b)
+    e += s + t
+    product = _product(big_a, big_b, len(big_a) + len(big_b) - 1)
+    back = [_times_power_of_two(x, e + 2 * n) for n, x in enumerate(product)]
+    return XiPoly._row(a.low + b.low, back)
 
 
 # sixteen entries hold the nine pairs of the lambda walk to lambda_11: (1, 0),
@@ -263,7 +363,8 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
     a - c and b - d in {0, 1}, so the last factor is an initial value, and the
     pair at (m, n) needs only the pairs at (c, floor(n/2)) and, for odd m,
     (c + 1, floor(n/2)).  Level by level the ladder keeps at most two pairs,
-    for adjacent i, from (i, j) down to i <= 1, j = 0.
+    for adjacent i, from (i, j) down to i <= 1, j = 0.  Every product runs
+    through _ladder_product.
     """
     init = zeta_initial()
     # needs[level]: the i' whose pairs (i', j >> level) the level above reads
@@ -279,12 +380,14 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
             c, r = m >> 1, m & 1
             low, high = pairs[c]  # zeta_{c,g}, zeta_{c,g+1}
             a_low, a_high = pairs[c + r]  # zeta_{a,g}, zeta_{a,g+1} with a = m - c
+            sigma = _sigma_power(5 * c + g, g)
             if n & 1:  # n = 2g + 1 = (g + 1) + g and n + 1 = (g + 1) + (g + 1)
-                first = 2 * (a_high * low) - _sigma_power(5 * c + g, g) * init[r, 1]
-                second = 2 * (a_high * high) - _sigma_power(5 * c + g + 1, g + 1) * init[r, 0]
+                first = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
+                sigma = _sigma_power(5 * c + g + 1, g + 1)
+                second = _ladder_product(a_high, high, 1) - _ladder_product(sigma, init[r, 0])
             else:  # n = g + g and n + 1 = (g + 1) + g
-                first = 2 * (a_low * low) - _sigma_power(5 * c + g, g) * init[r, 0]
-                second = 2 * (a_high * low) - _sigma_power(5 * c + g, g) * init[r, 1]
+                first = _ladder_product(a_low, low, 1) - _ladder_product(sigma, init[r, 0])
+                second = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
             doubled[m] = (first, second)
         pairs = doubled
     return pairs[i]
@@ -293,25 +396,28 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
 def unitize(p: XiPoly, i: int) -> XiPoly:
     """U(kappa^i p(xi)) = sum_j c_j zeta_{i,j} for p = sum_j c_j xi^j.
 
-    Walks the xi recurrence in j up from the pair zeta_{i,j0}, zeta_{i,j0+1},
-    j0 the multiple of 32 at or below p's lowest degree, two rows live, adding
-    each c_j * zeta_{i,j} into one dense list.  The tower's c_j carry hundreds
-    of trailing zero bits, so each row is multiplied by the odd part
-    c_j >> v, v = nu_2(c_j), and every product is shifted back by v.
+    Walks the floored rows of zeta_{i,j} in j up from the pair at j0, the
+    multiple of 32 at or below p's lowest degree, two rows live, and adds each
+    c_j * zeta_{i,j} into one dense list that starts at d_min(i, p.low), the
+    base of the first row walked.  The entry of row j at offset M above
+    d_min(i, j) is stored divided by 2^f(M) (see _floored), and c_j is split
+    into its odd part c and 2^v: each entry adds (c * entry) << (v + f(M)).
     """
     if p.is_zero:
         return ZERO
     j0 = p.low - p.low % _PAIR_STRIDE
-    acc: list[int] = []  # indexed by degree; the zeros below the lowest row cost no arithmetic
-    rows = islice(_walk(*_pair(i, j0)), p.low - j0, None)
-    for c, row in zip(p.coeffs, rows):
+    base = d_min(i, p.low)
+    acc: list[int] = []  # acc[t] is the coefficient of xi^(base + t)
+    rows = islice(_floored_rows(i, j0), p.low - j0, None)
+    for c, (low, stay, row) in zip(p.coeffs, rows):
         if c:
             v = (c & -c).bit_length() - 1
             c >>= v
-            s, r = row.low, row.coeffs
-            acc += [0] * (s + len(r) - len(acc))
-            acc[s : s + len(r)] = [x + (c * y << v) for x, y in zip(acc[s : s + len(r)], r)]
-    return XiPoly._row(0, acc)
+            s, n = low - base, len(row)
+            acc += [0] * (s + n - len(acc))
+            shifts = range(v, v + 2 * n, 2) if stay else chain((v,), range(v + 1, v + 2 * n, 2))
+            acc[s : s + n] = [x + (c * y << t) for x, y, t in zip(acc[s : s + n], row, shifts)]
+    return XiPoly._row(base, acc)
 
 
 def zeta(i: int, j: int) -> XiPoly:

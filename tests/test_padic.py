@@ -16,7 +16,8 @@ from pdocong import (
     tau,
     zeta,
 )
-from pdocong import padic
+import pdocong
+from pdocong import padic, xipoly
 from pdocong.padic import ProfileReport
 from records import profile_from_record
 
@@ -44,6 +45,8 @@ def test_nu2_additivity_lemma():
 
 
 def test_d_min_cases():
+    # one formula, kept in xipoly (the walk needs it) and re-exported
+    assert padic.d_min is xipoly.d_min is pdocong.d_min
     assert d_min(0, 0) == 0
     assert d_min(1, 0) == 3
     assert d_min(2, 0) == 5

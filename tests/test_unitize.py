@@ -1,10 +1,12 @@
 """The streaming unitize and its doubling ladder against the memoized sparse
 builder in zeta_oracle."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdocong import XiPoly, lambda_poly, phi_poly, series, xipoly, zeta, zeta_initial
+from pdocong import XiPoly, d_min, lambda_poly, nu2, phi_poly, series, xipoly, zeta, zeta_initial
 from pdocong.xipoly import ONE, ZERO, unitize
 from zeta_oracle import SparseZeta
 
@@ -102,9 +104,9 @@ def test_unitize_across_the_pair_stride(oracle, low):
 @pytest.mark.parametrize("low, size", [(0, 1), (5, 3), (31, 1), (32, 1), (33, 4), (64, 40), (427, 6)])
 def test_unitize_walks_from_the_stride_below_p(monkeypatch, low, size):
     starts, steps = [], []
-    pair, step = xipoly._pair, xipoly._step
+    pair, step = xipoly._pair, xipoly._next_row
     monkeypatch.setattr(xipoly, "_pair", lambda i, j: starts.append(j) or pair(i, j))
-    monkeypatch.setattr(xipoly, "_step", lambda *rows: steps.append(1) or step(*rows))
+    monkeypatch.setattr(xipoly, "_next_row", lambda *rows: steps.append(1) or step(*rows))
     p = XiPoly({low + t: t + 1 for t in range(size)})
     unitize(p, 5)
     j0 = low - low % 32
@@ -171,3 +173,108 @@ def test_ladder_squares_pack_their_row_once(monkeypatch):
     xipoly._pair(256, 416)
     squares = [same for same, equal in calls if equal]
     assert squares and all(squares)
+
+
+def floor(m, stay):
+    """f(M): the 2-adic floor of offset M above d_min on a stay row or any other."""
+    return 2 * m if stay else max(2 * m - 1, 0)
+
+
+def assert_floors_hold(p, i, j):
+    # zeta_{i,j} starts at d_min(i, j), and offset M carries at least f(M)
+    # trailing zero bits, f(M) = 2M exactly when d_min(i, j + 1) = d_min(i, j)
+    base, stay = d_min(i, j), d_min(i, j + 1) == d_min(i, j)
+    assert p.low == base, (i, j)
+    for m, c in enumerate(p.coeffs):
+        assert nu2(c) >= floor(m, stay), (i, j, m)
+
+
+def test_floors_hold_on_the_small_grid():
+    # the sparse builder's rows against the floors, and the floored walk from
+    # j = 0 against the same rows, entry by entry once scaled back
+    rows = SparseZeta()
+    for i in range(41):
+        walk = islice(xipoly._floored_rows(i, 0), 81)
+        for j, (base, stay, row) in enumerate(walk):
+            p = rows(i, j)
+            assert_floors_hold(p, i, j)
+            assert (base, stay) == (d_min(i, j), d_min(i, j + 1) == base)
+            assert row == [c >> floor(m, stay) for m, c in enumerate(p.coeffs)], (i, j)
+        for j in range(2, 81):
+            del rows.memo[i, j]
+
+
+@pytest.mark.parametrize("i", [127, 128, 255, 256])
+def test_floors_hold_on_the_ladder_cells(i):
+    # the pairs are checked against the sparse builder in test_pair_matches_sparse_builder
+    for j in (0, 213, 427, 428):
+        low, high = xipoly._pair(i, j)
+        assert_floors_hold(low, i, j)
+        assert_floors_hold(high, i, j + 1)
+
+
+@pytest.mark.parametrize("offset", [1, 2, 5])
+def test_a_pair_off_by_one_bit_raises(monkeypatch, offset):
+    # one coefficient of the pair's first row loses the top bit of its floor:
+    # unitize must refuse, not walk a wrong polynomial
+    i, j = 6, 32
+    low, high = xipoly._pair(i, j)
+    stay = d_min(i, j + 1) == d_min(i, j)
+    coeffs = list(low.coeffs)
+    coeffs[offset] ^= 1 << (floor(offset, stay) - 1)
+    broken = XiPoly._row(low.low, coeffs)
+    monkeypatch.setattr(xipoly, "_pair", lambda *cell: (broken, high))
+    with pytest.raises(ArithmeticError, match=f"offset {offset} above degree {d_min(i, j)}"):
+        unitize(XiPoly({j: 1, j + 5: 3}), i)
+
+
+def test_a_pair_below_its_base_raises(monkeypatch):
+    low, high = xipoly._pair(3, 0)
+    monkeypatch.setattr(xipoly, "_pair", lambda *cell: (XiPoly({low.low - 1: 1}) + low, high))
+    with pytest.raises(ArithmeticError, match="offset -1"):
+        zeta(3, 0)
+
+
+def test_floored_row_rejects_the_other_rule():
+    # zeta_{0,2} has an offset-1 coefficient of valuation 1: the floor of a
+    # row that is not a stay row, too low for a stay row
+    assert xipoly._floored(zeta(0, 2), 1, False) == [-9, 29, -10, 1]
+    with pytest.raises(ArithmeticError, match="offset 1 above degree 1"):
+        xipoly._floored(zeta(0, 2), 1, True)
+
+
+# integer polynomials: small odd coefficients give s < 0, 2-adic ones s > 0
+ladder_terms = st.dictionaries(
+    st.integers(0, 30),
+    st.integers(-9, 9) | two_adic,
+    max_size=8,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ladder_terms, ladder_terms, st.integers(0, 3))
+def test_ladder_product_is_the_ring_product(a, b, e):
+    pa, pb = XiPoly(a), XiPoly(b)
+    assert xipoly._ladder_product(pa, pb, e) == (pa * pb) * 2**e
+    # the squaring path hands one scaled row to the kernel twice
+    assert xipoly._ladder_product(pa, pa, e) == (pa * pa) * 2**e
+
+
+def test_ladder_product_scales_below_zero():
+    # 3 + 2 xi: nu_2 - 2M is 0 at M = 0 and -1 at M = 1, so s = -1
+    p = XiPoly({0: 3, 1: 2})
+    assert xipoly._four_adic(p) == (-1, [6, 1])
+    assert xipoly._ladder_product(p, p) == p * p
+
+
+def test_unitize_accumulates_from_the_first_row_base(monkeypatch):
+    # the accumulator spans d_min(i, p.low) .. the top degree, not 0 .. the top
+    p = phi_poly(6)
+    calls = []
+    row = XiPoly._row.__func__
+    spy = classmethod(lambda cls, low, c: calls.append((low, len(c))) or row(cls, low, c))
+    monkeypatch.setattr(XiPoly, "_row", spy)
+    out = unitize(p, 32)
+    base = d_min(32, p.low)
+    assert base > 0 and out.low == base
+    assert calls[-1] == (base, out.degree() - base + 1)

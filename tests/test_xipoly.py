@@ -135,8 +135,11 @@ def test_initial_values_consistent_with_recurrences():
     (k1, k2), (x1, x2) = pairs["kappa"], pairs["xi"]
     assert k1 * initial[(1, 0)] - k2 * initial[(0, 0)] == initial[(2, 0)]
     assert x1 * initial[(0, 1)] - x2 * initial[(0, 0)] == initial[(0, 2)]
-    # the package's hard-wired xi step takes the same two rows to the same value
-    assert xipoly._step(initial[(0, 1)], initial[(0, 0)]) == initial[(0, 2)]
+    # the package's floored xi step takes the same two rows to the same value:
+    # zeta_{0,1} is a stay row at degree 1, zeta_{0,0} and zeta_{0,2} are not
+    floored = {j: xipoly._floored(initial[(0, j)], xipoly.d_min(0, j), j == 1) for j in range(3)}
+    assert floored == {0: [1], 1: [5, -1], 2: [-9, 29, -10, 1]}
+    assert xipoly._next_row(floored[1], floored[0], True) == floored[2]
 
 
 def test_zeta_printed_examples():
@@ -345,15 +348,25 @@ def test_row_trims_to_first_and_last_nonzero(coeffs, low):
     assert row == XiPoly({low + t: c for t, c in enumerate(coeffs)})
 
 
-@given(gappy_terms, gappy_terms, st.integers(0, 90), st.integers(0, 90))
-def test_step_is_the_xi_recurrence(a, b, shift_a, shift_b):
-    # gappy rows, the zero row and rows at unrelated offsets, against the
-    # sigma pair that the oracle derives from the base values
+def unfloored(row, base, stay):
+    """The polynomial whose coefficient at offset M above base is row[M] * 2^f(M)."""
+    return XiPoly({base + m: c << (m and 2 * m - 1 + stay) for m, c in enumerate(row)})
+
+
+floored_rows = st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), max_size=12)
+
+
+@given(floored_rows, floored_rows, st.booleans(), st.integers(1, 90))
+def test_step_is_the_xi_recurrence(alpha, beta, stay, base):
+    # arbitrary integer rows, the empty row and rows with zeros at either end,
+    # against the sigma pair that the oracle derives from the base values: row
+    # j sits at base, row j - 1 one degree lower exactly when row j is a stay
+    # row, and row j + 1 one degree higher exactly when it is not
     sigma1, sigma2 = sigma_pairs()["xi"]
-    pa = XiPoly({d + shift_a: c for d, c in a.items()})
-    pb = XiPoly({d + shift_b: c for d, c in b.items()})
-    for x, y in ((pa, pb), (pa, ZERO), (ZERO, pb), (ZERO, ZERO)):
-        assert xipoly._step(x, y) == sigma1 * x - sigma2 * y
+    a, b = unfloored(alpha, base, stay), unfloored(beta, base - stay, not stay)
+    step = xipoly._next_row(alpha, beta, stay)
+    assert unfloored(step, base + (not stay), not stay) == sigma1 * a - sigma2 * b
+    assert not step or step[-1]
 
 
 def test_tower_memos_are_bounded():
