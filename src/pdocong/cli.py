@@ -110,10 +110,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _render(fmt: str, value, header: list[str], rows, lines) -> str:
-    """The text of a handler's forms in fmt: json dumps value(), csv writes
-    header and rows(), plain joins lines().  Only fmt's thunk is called."""
+    """The text of a handler's forms in fmt: json dumps value() unless it is
+    already the json text, csv writes header and rows(), plain joins lines().
+    Only fmt's thunk is called."""
     if fmt == "json":
-        return json.dumps(value())
+        value = value()
+        return value if isinstance(value, str) else json.dumps(value)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -128,8 +130,11 @@ def _poly_forms(p: XiPoly):
 
 
 def _values_forms(values, order: int):
+    # the json text, byte for byte json.dumps({"order": order, "values":
+    # [str(v), ...]}), comes from one join over the values: json.dumps would
+    # hold the strings and its quoted copies, about twice the output
     return (
-        lambda: {"order": order, "values": [str(v) for v in values]},
+        lambda: '{"order": %d, "values": [%s]}' % (order, ", ".join([f'"{v}"' for v in values])),
         ["n", "value"],
         lambda: enumerate(values),
         lambda: map(str, values),

@@ -12,6 +12,14 @@ are packed into one decimal number each, multiplied once by libmpdec (CPython's
 decimal library, whose multiply uses a number-theoretic transform for large
 operands) in a private context that traps any rounding, and cut back into
 coefficients.  The module loads ``decimal`` on the first dense product only.
+The slots are sized from where the coefficients are: with the bit lengths of
+the largest |a_i| and |b_j| in each block of 32 indices, a product
+coefficient c_k with k < order is bounded by the blocks whose indices sum to
+k // 32 or one less, so only the ``order`` low slots that are read have to
+hold 2 |c_k|, and operands that grow like e^(c sqrt(n)) get narrower slots
+than max|a| max|b| would give.  Signed coefficients are packed exactly (the
+top one made positive, then a borrow pass) and the low slots are read back as
+balanced digits by one carry pass; ``_kronecker`` proves both.
 Division runs one loop over the quotient that sums the divisor's nonzero terms
 grouped by value; the package divides only by sparse eta and theta factors.
 """
@@ -19,9 +27,8 @@ grouped by value; the package divides only by sparse eta and theta factors.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, chain, repeat
-from operator import itemgetter, sub
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 
 class NonUnitError(ValueError):
@@ -36,12 +43,17 @@ def _nonzero_count(coeffs) -> int:
 # KRONECKER_MIN_TERMS nonzero terms and at least sqrt(KRONECKER_SPARSITY * order)
 # of them.  The walk costs one big-integer multiply-add per pair of nonzero
 # terms, the kernel a number of digit operations near order times the slot
-# width.  Measured against a dense xi(q) (CPython 3.11, one Xeon core), the
-# kernel wins once the sparser operand has about 64 nonzero terms at order 300,
-# 128 at order 1200 and 256 at order 8000; dense operands with 4-, 64- and
-# 600-bit coefficients cross over near orders 30, 64 and 96.  Eta and theta
-# factors hold at most 2 sqrt(order) + 1 nonzero terms, so the eta passes of
-# ``etaq.expand`` and the sparse PDO products always stay on the walk.
+# width.  Measured against a dense xi(q) (CPython 3.11.7, one shared Xeon
+# core, the walk and the block-bounded kernel alternating in one process), the
+# kernel wins once the sparser operand has about 48-64 nonzero terms at order
+# 300, 96-128 at order 1200 and 192-256 at order 8000; dense operands with
+# uniform 4-, 64- and 600-bit coefficients cross over near orders 40-48,
+# 64-128 and 96-128, the ratio wobbling in between with libmpdec's multiply
+# thresholds.  Slots sized by max|a| max|b| crossed at the same points within
+# noise: when one operand's coefficients are all of one size, the block bound
+# gives those slots.  Eta and theta factors hold at most 2 sqrt(order) + 1
+# nonzero terms, so the eta passes of ``etaq.expand`` and the sparse PDO
+# products always stay on the walk.
 KRONECKER_MIN_TERMS = 64
 KRONECKER_SPARSITY = 10
 
@@ -84,49 +96,114 @@ def _trim(a: tuple[int, ...], order: int) -> tuple[int, ...]:
     return a[:n]
 
 
-def _windows(values: Sequence[int], order: int, span: int) -> Iterator[int]:
-    """w_k = the sum of values[i] over k - span < i <= k, for 0 <= k < order."""
-    prefix = list(accumulate(chain(values, repeat(0, order - len(values)))))
-    if span >= order:
-        return iter(prefix)
-    return map(sub, prefix, chain(repeat(0, span), prefix))
+# _kronecker bounds its slots from the largest coefficient of each block of
+# this many consecutive indices
+_BLOCK = 32
+
+
+def _slot_bounds(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
+    """For each block t of _BLOCK indices below ``order`` that the product of
+    a and b reaches, a number of bits with 2 |c_k| < 2^bits for every k < order
+    in block t; ``_kronecker`` proves the bound."""
+    bits_a, bits_b = (
+        [max(map(int.bit_length, c[s : s + _BLOCK])) for s in range(0, len(c), _BLOCK)] for c in (a, b)
+    )
+    terms = min(len(a), len(b))
+    bounds = []
+    previous = 0
+    for t in range(min((order - 1) // _BLOCK, len(bits_a) + len(bits_b) - 1) + 1):
+        pairs = range(max(0, t - len(bits_b) + 1), min(t, len(bits_a) - 1) + 1)
+        current = max([bits_a[p] + bits_b[t - p] for p in pairs], default=0)
+        count = min(_BLOCK * (t + 1), order, terms)
+        bounds.append(max(current, previous) + 1 + count.bit_length())
+        previous = current
+    return bounds
+
+
+def _packed(a: tuple[int, ...], slot: str, base: int) -> str:
+    """The digits of |sum a_i base^i|, highest first, in slots of the format
+    ``slot``: a is negated if its top coefficient is negative, then one borrow
+    pass runs from the lowest coefficient.  Needs 2 |a_i| < base, so every
+    digit is in [0, base)."""
+    if a[-1] < 0:
+        a = tuple(-c for c in a)
+    digits = []
+    borrow = 0
+    for c in a:
+        c -= borrow
+        if c < 0:
+            digits.append(slot % (c + base))
+            borrow = 1
+        else:
+            digits.append(slot % c)
+            borrow = 0
+    digits.reverse()
+    return "".join(digits)
 
 
 def _kronecker(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
     """Coefficients 0 .. order - 1 of the product of two coefficient tuples, by
     one big-number multiplication (Kronecker substitution).
 
-    Each tuple is cut to its last nonzero coefficient below ``order``, so zero
-    padding costs nothing, biased by its own largest |c|, so every coefficient
-    is nonnegative, and packed into one decimal string with slots of ``width``
-    digits, highest power first.  A slot of the biased product is a sum of at
-    most min(len(a), len(b)) terms, each below 4 |a|max |b|max, so
-    10^width > 4 |a|max |b|max min(len(a), len(b)) keeps the slots from
-    carrying into each other.  The multiply runs in libmpdec, CPython's decimal
-    library, which switches to a number-theoretic transform for large
-    operands.  Its private context has the largest precision and exponent range
-    and traps rounding, so a product that does not fit raises instead of losing
-    digits; the thread's current decimal context is never read.  The bias comes
-    off exactly with window sums:
+    Each tuple is cut to its last nonzero coefficient below ``order`` minus
+    the other's lowest nonzero index, since a_i b_j with i + j >= order is
+    never read; zero padding costs nothing.  Each is negated if its top
+    coefficient is negative and packed exactly, signs and all, as the decimal
+    digits of X = sum a_i 10^(width i), highest slot first.  The multiply runs
+    in libmpdec, CPython's decimal library, which switches to a
+    number-theoretic transform for large operands.  Its private context has
+    the largest precision and exponent range and traps rounding, so a product
+    that does not fit raises instead of losing digits; the thread's current
+    decimal context is never read.
 
-        c_k = slot_k - |b|max A_k - |a|max B_k,
+    Slot bound.  Let A_p be the bit length of the largest |a_i| over the block
+    i // 32 = p, so |a_i| < 2^A_p, B_r the same for b, and M_q the largest
+    A_p + B_r over p + r = q (0 if there is no such pair).  A term a_i b_j of
+    c_k, i + j = k, has 32 (p + r) <= k < 32 (p + r + 2) for its blocks p and
+    r, so p + r is t - 1 or t with t = k // 32, and
+    |a_i b_j| < 2^max(M_(t-1), M_t).  c_k sums at most
+    n_k = min(k + 1, len(a), len(b)) terms and n_k < 2^bit_length(n_k), so
 
-    with A_k the sum of the biased a_i and B_k the sum of the b_j over the
-    pairs i + j = k.  Slots wider than the interpreter allows for int/str
-    conversion go to the walk instead.  When ``b is a`` the operand is packed
-    once.
+        2 |c_k| < 2^(1 + bit_length(n_k) + max(M_(t-1), M_t)).
+
+    ``_slot_bounds`` gives that exponent block by block (n_k grows with k, so
+    the last k < order of each block decides it); bits is the largest over
+    the blocks below ``order`` and 10^width > 2^bits.  In operands that grow
+    like e^(c sqrt(i)), such as kappa, xi and the PDO slices, the largest
+    |a_i| and |b_j| never meet below ``order``, so these slots are narrower
+    than ones sized by max|a| max|b|.  The packed coefficients fit too: every
+    kept a_i has i + j0 < order for b's lowest nonzero index j0, and
+    |b_j0| >= 1 puts A_p + 1 under the bound of c_(i + j0), so
+    2 |a_i| < 10^width, and likewise for b.  Hence X > 0, since its positive
+    top coefficient outweighs the rest, and a borrow pass gives its digits
+    (``_packed``).
+
+    Balanced decode.  The product Z = X Y = sum c_k 10^(width k) is exact, and
+    its terms with k >= order are multiples of 10^(width order), so the low
+    ``order`` slots s_k of Z hold sum_(k < order) c_k 10^(width k) modulo
+    10^(width order).  From the lowest slot, with carry_0 = 0,
+
+        c_k = s_k + carry_k - 10^width carry_(k+1),
+
+    where carry_(k+1) is 1 exactly when s_k + carry_k >= 10^width / 2: c_k is
+    the residue of s_k + carry_k modulo 10^width that lies within
+    10^width / 2 of zero, the only one there since 2 |c_k| < 10^width.  So one
+    carry pass reads the coefficients, with no bias to take off, and the sign
+    taken off the operands goes back on at the end.  Slots wider than the
+    interpreter allows for int/str conversion go to the walk instead.  When
+    ``b is a`` the operand is packed once.
     """
     import decimal  # only dense products load it; `import pdocong` stays without
 
     same = b is a
-    a = _trim(a, order)
-    b = a if same else _trim(b, order)
+    low_a = min(next((i for i, c in enumerate(a) if c), order), order)
+    low_b = low_a if same else min(next((j for j, c in enumerate(b) if c), order), order)
+    a = _trim(a, order - low_b)
+    b = a if same else _trim(b, order - low_a)
     if not (a and b):
         return [0] * order
-    max_a = max(map(abs, a))
-    max_b = max(map(abs, b))
-    # 30103/100000 > log10(2), so 10^width > 2^bits > 4 max_a max_b min(len(a), len(b))
-    width = (4 * max_a * max_b * min(len(a), len(b))).bit_length() * 30103 // 100000 + 1
+    # 30103/100000 > log10(2), so 10^width > 2^bits for the widest block's bits
+    width = max(_slot_bounds(a, b, order)) * 30103 // 100000 + 1
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and width > limit:
         return _walk(a, b, order)
@@ -136,17 +213,25 @@ def _kronecker(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
         Emin=decimal.MIN_EMIN,
         traps=[decimal.InvalidOperation, decimal.Overflow, decimal.Inexact, decimal.Rounded],
     )
+    base = 10**width
+    half = base // 2
     slot = f"%0{width}d"
-    biased_a = [c + max_a for c in a]
-    x = context.create_decimal("".join([slot % c for c in reversed(biased_a)]))
-    y = x if same else context.create_decimal("".join([slot % (c + max_b) for c in reversed(b)]))
+    negate = (a[-1] < 0) != (b[-1] < 0)
+    x = context.create_decimal(_packed(a, slot, base))
+    y = x if same else context.create_decimal(_packed(b, slot, base))
     size = order * width
     digits = context.to_sci_string(context.multiply(x, y))[-size:].zfill(size)
-    slots = [int(digits[i - width : i]) for i in range(size, 0, -width)]
-    return [
-        s - max_b * wa - max_a * wb
-        for s, wa, wb in zip(slots, _windows(biased_a, order, len(b)), _windows(b, order, len(a)))
-    ]
+    out = []
+    carry = 0
+    for i in range(size, 0, -width):
+        c = int(digits[i - width : i]) + carry
+        if c >= half:
+            out.append(c - base)
+            carry = 1
+        else:
+            out.append(c)
+            carry = 0
+    return [-c for c in out] if negate else out
 
 
 def _product(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:

@@ -1,13 +1,14 @@
 import decimal
 import sys
 import threading
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdocong import DELTA, XI, NonUnitError, Series, series
 from pdocong.etaq import delta_series, euler_series, expand, kappa_series, pdo_series, xi_series
-from pdocong.series import KRONECKER_MIN_TERMS, KRONECKER_SPARSITY, _kronecker
+from pdocong.series import KRONECKER_MIN_TERMS, KRONECKER_SPARSITY, _BLOCK, _kronecker, _slot_bounds
 
 from naive_series import partition_count, poly_mul, series_div
 
@@ -42,10 +43,34 @@ def dense_lists(coeffs):
     return dense_lengths.flatmap(lambda n: st.lists(coeffs, min_size=n, max_size=n))
 
 
+# lengths around the kernel's block of _BLOCK indices and two of them
+block_lengths = st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
+signs = st.sampled_from([1, -1])
+
+
+@st.composite
+def growth_shaped(draw):
+    """Signed coefficients with |c_i| about 2^(3 sqrt(i)), the growth of kappa,
+    xi and the PDO slices, so the largest ones sit at the top."""
+    return [draw(signs) * draw(st.integers(1 << isqrt(9 * i) >> 1, 1 << isqrt(9 * i)))
+            for i in range(draw(block_lengths))]
+
+
+@st.composite
+def block_maxima(draw):
+    """Each block filled with one sign's largest value of its bit length, so
+    every product term meets its slot bound; the top coefficient may be negative."""
+    sign, bits = draw(signs), draw(st.lists(st.integers(0, 300), min_size=3, max_size=3))
+    return [sign * ((1 << bits[i // _BLOCK]) - 1) for i in range(draw(block_lengths))]
+
+
 kernel_operands = st.one_of(
     dense_lists(st.integers(-(2**600), 2**600)),
     dense_lists(st.sampled_from([1, -1])),
     st.tuples(st.sampled_from([0, 1, -1]), dense_lengths).map(lambda t: [t[0]] * t[1]),
+    growth_shaped(),
+    growth_shaped().map(lambda c: c[:-1] + [-abs(c[-1])]),
+    block_maxima(),
 )
 
 
@@ -150,7 +175,7 @@ def test_mul_matches_naive_product_on_sparse_operands(a, b):
     assert list(Series(a) * Series(b)) == poly_mul(a, b, order)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(kernel_operands, kernel_operands)
 def test_kronecker_matches_naive_product(a, b):
     order = min(len(a), len(b))
@@ -161,7 +186,7 @@ def test_kronecker_matches_naive_product(a, b):
     assert _kronecker(square, square, len(a)) == poly_mul(a, a, len(a))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(kernel_operands, kernel_operands, st.integers(0, 8), st.integers(1, 300))
 def test_kronecker_takes_unequal_lengths_and_any_order(a, b, zeros, order):
     # operands of different lengths, one with trailing zeros, cut at any order
@@ -172,6 +197,30 @@ def test_kronecker_takes_unequal_lengths_and_any_order(a, b, zeros, order):
     assert _kronecker(tuple(b), tuple(a), order) == want
     square = tuple(a)
     assert _kronecker(square, square, order) == poly_mul(a + [0] * order, a + [0] * order, order)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_operands, kernel_operands, st.integers(1, 300))
+def test_block_bounds_hold_twice_every_coefficient_read(a, b, order):
+    # the slot bound of _kronecker's docstring, block by block, on operands
+    # whose top coefficient is nonzero, as the kernel's cut leaves them; past
+    # the blocks it bounds, the product is zero
+    a, b = a + [1], b + [-1]
+    product = poly_mul(a + [0] * order, b + [0] * order, order)
+    bounds = _slot_bounds(tuple(a), tuple(b), order)
+    reached = product[: _BLOCK * len(bounds)]
+    assert all(2 * abs(c) < 2 ** bounds[k // _BLOCK] for k, c in enumerate(reached))
+    assert not any(product[_BLOCK * len(bounds) :])
+    assert 2 * max(map(abs, product)) < 2 ** max(bounds)
+
+
+def test_slots_follow_the_coefficients_of_growing_operands():
+    # kappa^3 xi^3 at order 1200: 619 bits sized by max |a| max |b| length,
+    # 449 bits from the block maxima
+    order = 1200
+    a, b = (kappa_series(order) ** 3).coeffs, (xi_series(order) ** 3).coeffs
+    flat = (4 * max(map(abs, a)) * max(map(abs, b)) * order).bit_length()
+    assert max(_slot_bounds(a, b, order)) <= 0.8 * flat
 
 
 def test_products_switch_to_the_kernel_at_the_threshold(monkeypatch):
