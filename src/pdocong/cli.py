@@ -5,15 +5,13 @@ Each subcommand binds its handler with ``set_defaults``.  A handler reads the
 parsed ``argparse.Namespace``, computes its result and returns its exit status
 and the result's forms; one formatter, ``_render``, builds only the form that
 ``--format`` names.  Each call is a cold process, so start-up counts: importing
-this module loads the package and argparse, none of the heavier standard modules.
+this module loads the package and argparse, none of the heavier standard
+modules; ``json`` and ``csv`` load only when their format is asked for.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
@@ -114,9 +112,14 @@ def _render(fmt: str, value, header: list[str], rows, lines) -> str:
     already the json text, csv writes header and rows(), plain joins lines().
     Only fmt's thunk is called."""
     if fmt == "json":
+        import json  # each output module loads only in its own branch
+
         value = value()
         return value if isinstance(value, str) else json.dumps(value)
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)

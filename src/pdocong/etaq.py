@@ -36,7 +36,8 @@ the exponent mod d are d independent recurrences.  Each pass packs the d
 coefficients of step s, values[s d + r] for 0 <= r < d, into one integer with
 lane r at bits r W .. (r + 1) W, divides the packed sequence by the undilated
 divisor (E(q), then phi(-q)) with the plain ``Series.div`` and cuts the
-quotient back into lanes.  The last step's lanes past the order are padded
+quotient back into lanes, one lane of a chunk of steps at a time into its
+slice of the output.  The last step's lanes past the order are padded
 with zeros.  This is exact: packing is additive and ``Series.div`` forms only
 integer combinations of its entries, so the packed quotient is
 sum_r 2^(r W) q_r, with q_r the true quotient of lane r, and masking returns
@@ -279,19 +280,31 @@ def _pack(values: Sequence[int], d: int, width: int) -> list[int]:
     return packed
 
 
+# _unpack cuts this many packed steps at a time from the end of the sequence
+_UNPACK_CHUNK = 2048
+
+
 def _unpack(packed: list[int], d: int, width: int) -> list[int]:
     """The d lanes of every step, in order; empties ``packed`` as it goes.
 
-    Each packed integer is freed once its lanes are read, so the packed and
-    the unpacked sequence are never both alive in full.
+    Steps are taken from the end of ``packed`` in chunks of _UNPACK_CHUNK,
+    and each lane of a chunk is read by one list comprehension into its slice
+    of the output, so the packed and the unpacked sequence are never both
+    alive in full.  The top lane needs no mask: every lane lies in
+    [0, 2^width), so nothing is stored above it.
     """
     mask = (1 << width) - 1
-    shifts = range((d - 1) * width, -1, -width)
-    out = []
+    top = (d - 1) * width
+    out = [0] * (len(packed) * d)
     while packed:
-        x = packed.pop()
-        out.extend((x >> shift) & mask for shift in shifts)
-    out.reverse()
+        start = max(0, len(packed) - _UNPACK_CHUNK)
+        chunk = packed[start:]
+        del packed[start:]
+        stop = (start + len(chunk)) * d
+        for r in range(d - 1):
+            shift = r * width
+            out[start * d + r : stop : d] = [x >> shift & mask for x in chunk]
+        out[start * d + d - 1 : stop : d] = [x >> top for x in chunk]
     return out
 
 

@@ -27,6 +27,7 @@ grouped by value; the package divides only by sparse eta and theta factors.
 from __future__ import annotations
 
 import sys
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -35,8 +36,8 @@ class NonUnitError(ValueError):
     """Inversion/division requested for a series whose constant term is not +-1."""
 
 
-def _nonzero_count(coeffs) -> int:
-    return sum(1 for c in coeffs if c)
+def _nonzero_count(coeffs: tuple[int, ...]) -> int:
+    return len(coeffs) - coeffs.count(0)
 
 
 # A product goes to the Kronecker kernel when its sparser operand has at least
@@ -61,14 +62,13 @@ KRONECKER_SPARSITY = 10
 def _walk(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
     """Coefficients 0 .. order - 1 of the product of two coefficient tuples, a the sparser.
 
-    ``a`` runs on the outside and the inner walk visits only b's nonzero
-    terms, in ascending offset; +-1 coefficients of ``a`` skip the multiply.
+    Both walks visit only nonzero terms, picked out by ``compress`` in C:
+    a's on the outside and b's inside, in ascending offset; +-1 coefficients
+    of ``a`` skip the multiply.
     """
-    inner = [(j, d) for j, d in enumerate(b) if d]
+    inner = list(compress(enumerate(b), b))
     out = [0] * order
-    for i, c in enumerate(a[:order]):
-        if not c:
-            continue
+    for i, c in compress(enumerate(a), a):
         room = order - i
         if c == 1:
             for j, d in inner:

@@ -491,7 +491,9 @@ def _xi_power(order: int, degree: int) -> Series:
     A miss multiplies up from the highest power kept below degree at this
     order (or from 1), one product per degree in a loop, and keeps each
     positive power it passes; the least recently used ones beyond 32 are
-    dropped.
+    dropped.  An even degree is the square of the half when that is still
+    kept, since the Kronecker kernel packs a square once and libmpdec squares
+    faster than it multiplies two operands; otherwise it is power * xi.
     """
     with _XI_POWERS_LOCK:
         power = _XI_POWERS.get((order, degree))
@@ -502,7 +504,8 @@ def _xi_power(order: int, degree: int) -> Series:
         power = _XI_POWERS[order, start] if start else Series.one(order)
         xi = xi_series(order)
         for d in range(start + 1, degree + 1):
-            power = power * xi
+            half = _XI_POWERS.get((order, d // 2)) if d % 2 == 0 else None
+            power = half * half if half is not None else power * xi
             _XI_POWERS[order, d] = power
             if len(_XI_POWERS) > _XI_POWERS_MAXSIZE:
                 _XI_POWERS.popitem(last=False)

@@ -21,6 +21,7 @@ from pdocong import (
 from pdocong.etaq import (
     _OVERPARTITION_GROWTH,
     _PARTITION_GROWTH,
+    _UNPACK_CHUNK,
     _lane_width,
     _pack,
     _unpack,
@@ -97,10 +98,15 @@ def test_delta_theta_route_matches_expand_at_8000():
 
 
 LANE_LENGTHS = [1, 2, 11, 13, 25]
+# around _unpack's chunk boundary for d = 2 and 12: one value short of a full
+# chunk, a full chunk, one value into the next, and two chunks plus a partial step
+CHUNK_LENGTHS = [
+    _UNPACK_CHUNK * d + e for d in (2, 12) for e in (-1, 0, 1, _UNPACK_CHUNK * d + d // 2)
+]
 
 
 @pytest.mark.parametrize("d", [2, 12])
-@pytest.mark.parametrize("length", LANE_LENGTHS)
+@pytest.mark.parametrize("length", LANE_LENGTHS + CHUNK_LENGTHS)
 def test_pack_round_trips_every_lane_at_zero_and_at_its_top(d, length):
     width = 9
     top = 2**width - 1

@@ -11,8 +11,10 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # dataclasses drags in inspect (and with it ast, dis and tokenize) and costs
-# most of a cold import; decimal is loaded only by the first huge product
-HEAVY = ("dataclasses", "inspect", "decimal")
+# most of a cold import; decimal is loaded only by the first huge product, and
+# the CLI's json and csv writers only for their --format (io is loaded by the
+# interpreter itself at start-up, so it cannot be seen to stay out)
+HEAVY = ("dataclasses", "inspect", "decimal", "json", "csv")
 
 
 @pytest.mark.parametrize("statement", ["import pdocong", "from pdocong.cli import main"])

@@ -434,6 +434,16 @@ def test_xi_power_of_high_degree_on_a_cold_cache(degree):
     assert sorted(xipoly._XI_POWERS) == [(order, d) for d in range(degree - 30, degree + 2)]
 
 
+def test_even_xi_powers_squared_from_their_halves_match_repeated_powers():
+    # on a cold cache the ladder builds 2, 4, ..., 12 as squares of kept halves
+    xipoly._XI_POWERS.clear()
+    order = 300
+    x = xi_series(order)
+    assert poly_to_series(XiPoly({12: 1}), order) == x**12
+    for degree in range(2, 13, 2):
+        assert xipoly._XI_POWERS[order, degree] == x**degree
+
+
 def test_xi_powers_are_safe_under_concurrent_access():
     # threads at different orders and degrees share and evict the 32 kept powers
     import threading
