@@ -206,15 +206,14 @@ def _cmd_phi(args: argparse.Namespace) -> tuple:
 
 def _cmd_valuations(args: argparse.Namespace) -> tuple:
     """Rows nu(F_k(tau_k + M)) for each requested odd k; exit 1 on any fail."""
-    records = [check_f_profile(k).to_record() for k in args.k]
+    reports = [check_f_profile(k) for k in args.k]
     return (
-        0 if all(r["verdict"] == "pass" for r in records) else 1,
-        lambda: records,
+        0 if all(r.passed for r in reports) else 1,
+        lambda: [r.to_record() for r in reports],
         ["k", "tau", "offset", "valuation"],
-        lambda: ([r["k"], r["base_degree"], m, v]
-                 for r in records for m, v in enumerate(r["vals"])),
-        lambda: (f"F_{r['k']}  tau={r['base_degree']}  nu=[{', '.join(map(str, r['vals']))}]  "
-                 f"verdict={r['verdict']}" for r in records),
+        lambda: ([r.k, r.base_degree, m, v] for r in reports for m, v in enumerate(r.vals)),
+        lambda: (f"F_{r.k}  tau={r.base_degree}  nu=[{', '.join(map(str, r.vals))}]  "
+                 f"verdict={r.verdict}" for r in reports),
     )
 
 

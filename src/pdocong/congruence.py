@@ -143,8 +143,8 @@ def _check_level(name: str, level: int) -> None:
         raise ValueError(f"{name} must be >= 0, got {level}")
 
 
-def main_family_spec(k: int, n_stop: int, n_start: int = 0) -> CongruenceSpec:
-    """Level-k member of the main family:
+def main_family_spec(k: int, n_stop: int) -> CongruenceSpec:
+    """Level-k member of the main family over 0 <= n < n_stop:
     PDO(2^{2k+3} n) == PDO(2^{2k+1} n) (mod 2^{2k+3}).
 
     The k=0 member, PDO(8n) == PDO(2n) (mod 8), is false at n=1
@@ -153,13 +153,14 @@ def main_family_spec(k: int, n_stop: int, n_start: int = 0) -> CongruenceSpec:
     covers members k >= 1 only.  Whether the paper restricts the family to
     k >= 1 or the abstract misprints it is not settled here, so k=0 is still
     built as stated and verifying it reports the counterexample."""
-    _check_level("k", k)
-    m = 2 ** (2 * k + 3)
-    return CongruenceSpec(m, 2 ** (2 * k + 1), m, (n_start, n_stop))
+    return _main_specs(k, (0, n_stop))[0]
 
 
 def _main_specs(k: int, window: tuple[int, int]) -> list[AnySpec]:
-    return [main_family_spec(k, window[1], window[0])]
+    """PDO(2^{2k+3} n) == PDO(2^{2k+1} n) (mod 2^{2k+3})."""
+    _check_level("k", k)
+    m = 2 ** (2 * k + 3)
+    return [CongruenceSpec(m, 2 ** (2 * k + 1), m, window)]
 
 
 def _corollary_specs(k: int, window: tuple[int, int]) -> list[AnySpec]:

@@ -1,5 +1,7 @@
 import json
 import random
+from functools import cache
+from itertools import islice
 
 import pytest
 
@@ -121,6 +123,9 @@ def test_check_z_profile_passes():
     assert report.vals[1] == 1  # j == 2 mod 4
     assert check_z_profile(0, 0).passed
     assert check_z_profile(13, 1).passed
+    # zeta's own index check is the one negative indices meet
+    with pytest.raises(ValueError, match=r"^indices must be nonnegative, got \(-1, 0\)$"):
+        check_z_profile(-1, 0)
 
 
 def test_check_z_profile_non_sharp_classes():
@@ -129,13 +134,62 @@ def test_check_z_profile_non_sharp_classes():
     assert report.vals[1] >= 2
 
 
-def test_check_z_profile_refuses_uncovered_pairs():
-    with pytest.raises(ValueError):
-        check_z_profile(3, 2)
-    with pytest.raises(ValueError):
-        check_z_profile(6, 5)
-    with pytest.raises(ValueError):
-        check_z_profile(2, 2)  # 2 is a power of two but below 4
+@pytest.mark.parametrize(
+    "i, j, basis",
+    [(3, 2, "measured rule"), (6, 5, "measured rule"), (2, 2, "measured rule"),
+     (6, 0, "paper"), (13, 1, "paper"), (4, 2, "paper")],
+)
+def test_check_z_profile_reports_its_basis(i, j, basis):
+    # one rule covers every cell; a cell outside the paper's claim says so
+    report = check_z_profile(i, j)
+    assert report.passed
+    assert report.basis == basis
+
+
+def test_check_z_profile_passes_every_small_cell():
+    for i in range(24):
+        for j in range(24):
+            assert check_z_profile(i, j).passed, (i, j)
+
+
+def _sharp_rule(i, j):
+    return (i + j) % 4 == 2
+
+
+@cache
+def _walk_sharp_cells():
+    """The cells i, j < 64 whose offset-1 valuation is exactly 1, read from
+    the floored walk: nu at offset 1 is f(1) + nu(floored entry 1), with
+    f(1) = 2 on a stay row and 1 otherwise."""
+    sharp = set()
+    for i in range(64):
+        for j, (_, stay, row) in enumerate(islice(xipoly._floored_rows(i, 0), 64)):
+            assert row[0] % 2 == 1, (i, j)
+            if len(row) > 1 and 1 + stay + nu2(row[1]) == 1:
+                sharp.add((i, j))
+    return frozenset(sharp)
+
+
+def _rule_misses(rule):
+    return [(i, j) for i in range(64) for j in range(64)
+            if rule(i, j) != ((i, j) in _walk_sharp_cells())]
+
+
+def test_offset_one_rule_holds_on_the_floored_walk():
+    assert _rule_misses(_sharp_rule) == []
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        lambda i, j: (i + j) % 4 == 0,
+        lambda i, j: j % 4 == 2,
+        lambda i, j: not _sharp_rule(i, j),
+    ],
+    ids=["sum-0-mod-4", "j-2-mod-4", "swapped"],
+)
+def test_offset_one_rule_mutants_miss_walk_cells(mutant):
+    assert _rule_misses(mutant)
 
 
 def test_check_f_profile():
@@ -236,6 +290,8 @@ def test_report_record_serializes_infinity():
 
 
 def test_profile_report_shape():
+    # basis is derived from the family and indices, never recorded
+    assert check_f_profile(3).basis == "paper"
     z = check_z_profile(2, 1).to_record()
     assert set(z) == {"family", "i", "j", "base_degree", "vals", "verdict", "failures"}
     f = check_f_profile(3).to_record()
