@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from math import isqrt
 
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
 from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
@@ -22,18 +23,24 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # Requests past these limits are refused up front with exit 2, before any table
 # or polynomial is built.  pdo_series(2**17) takes about 3 s and 60 MB; each
 # top tower level costs about 10 times the one below; phi --k 10 and
-# lambda --k 12, which unitizes at phi_poly(10)'s i, take about 3 s each cold
-# (2.7-3.0 and 2.7-3.7 s, 24 MB).  The zeta limit holds for --i and --j alike:
-# the dearest cells at or below it, zeta --i 1535 with a small --j, take about
-# 2 s and 58 MB cold, and --i 2048 --j 0 takes 2.3-2.7 s and 85 MB (one Xeon
-# core, CPython 3.11).  The limits were set when these calls took about twice
-# as long, and are kept.
-# ``expand`` runs one sparse pass per unit of sum |e| over the spec's factors,
-# so its order times that sum is held to 6 * MAX_ORDER, delta's six passes at
-# the order limit.  That budget prices every pass like delta's, but a pass
-# over E(q) costs about order * sqrt(order): --spec "1^-6" --order 131072 is
-# accepted and takes 57 s and 361 MB (81 MB of JSON), 1^-24 at order 32768
-# 22 s, 1^-48 at order 16384 15-21 s, and 1^6 at order 131072 19 s.
+# lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.9-3.3 and
+# 1.9-3.0 s cold (23 MB).  The zeta limit holds for --i and --j alike: the
+# dearest cells at or below it, zeta --i 1535 with a small --j, take 2.0-2.2 s
+# and 55 MB cold, and zeta(2048, 0) takes 2.8-3.4 s and 76 MB (three to six
+# cold runs each on a shared Xeon core, CPython 3.11).  The limits were set
+# when the dearest of these calls took about 6 s, and are kept.
+# ``expand`` runs |e| sparse passes over each factor E(q^m)^e and is held to
+# two budgets, each delta's at the order limit.  A pass costs at least its
+# order, so order times sum |e| is held to 6 * MAX_ORDER, which bounds the
+# passes at small orders, where each costs microseconds whatever it reads.  A
+# pass also reads about sqrt(order / m) terms of E(q^m) per coefficient, so
+# order times sum |e| isqrt(order // m) (_expansion_terms) is held to
+# MAX_EXPANSION_PRICE: --spec "1^-6" --order 131072, within the first budget
+# but 57 s and 361 MB (81 MB of JSON), is refused at about twice this one.
+# The price counts terms, not digits, so the dearest accepted
+# calls are specs whose coefficients grow fast: 1^-6 at order 85848 takes
+# 17-19 s and 175 MB, 1^-24 at 32768 16 s and 93 MB, 1^-48 at 16384 11 s and
+# 53 MB, against 8 s and 105 MB for delta at the order limit.
 # ``verify --family pair`` builds the modulus 2**mod_exp, so --mod-exp is held
 # to MAX_MOD_EXP.  PDO(n) < 2^1208 for every n below MAX_ORDER, so any exponent
 # from 1208 on already asks for equality, and 2^4096 has 1234 decimal digits,
@@ -41,6 +48,14 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 MAX_ORDER = 2**17
 MAX_LEVEL = {"lambda": 12, "phi": 10, "zeta": 1536}
 MAX_MOD_EXP = 4096
+
+
+def _expansion_terms(spec: EtaQuotientSpec, order: int) -> int:
+    """The terms of E(q^m) that the sparse passes of spec read per coefficient, about."""
+    return sum(abs(e) * isqrt(order // m) for m, e in spec.factors)
+
+
+MAX_EXPANSION_PRICE = MAX_ORDER * _expansion_terms(NAMED_SPECS["delta"], MAX_ORDER)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -181,6 +196,12 @@ def _cmd_expand(args: argparse.Namespace) -> tuple:
     if order * passes > 6 * MAX_ORDER:
         raise ValueError(
             f"order {order} times {passes} expansion passes is over the limit {6 * MAX_ORDER}"
+        )
+    terms = _expansion_terms(spec, order)
+    if order * terms > MAX_EXPANSION_PRICE:
+        raise ValueError(
+            f"order {order} times {terms} E(q^m) terms per coefficient"
+            f" is over the limit {MAX_EXPANSION_PRICE}"
         )
     return 0, *_values_forms(expand(spec, order).coeffs, order)
 

@@ -26,21 +26,39 @@ time, from the pair zeta_{i,j0}, zeta_{i,j0+1} at the multiple j0 of 32 at or
 below p's lowest degree; the pair comes from halving (i, j0) down to the
 initial table with the doubling identity, so no recurrence runs through every
 smaller i or through the rows below j0.  The walk runs on the rows' 2-adic
-floors.  zeta_{i,j} starts at d_min(i, j) with an odd coefficient, and is a
-stay row when d_min(i, j+1) = d_min(i, j); stay rows and other rows
-alternate.  Its coefficient at offset M above d_min(i, j) is divisible by
-2^f(M), with f(M) = 2M on a stay row and f(0) = 0, f(M) = 2M - 1 on any other
-row, and the walk stores it divided by 2^f(M) (about 29% of the bits of
-zeta_{256,j} are these zeros).  The recurrence maps floored rows to floored
-rows with small integer coefficients (_next_row), so the walk never divides;
-the one division is the checked one that floors the pair, which raises
-ArithmeticError naming the offset if a floor fails.  Each floored entry is
-multiplied by the odd part of its coefficient c_j and shifted back by
-nu_2(c_j) + f(M): the tower's coefficients carry hundreds of trailing zero
-bits, which would otherwise go through every big-integer product.  The
-ladder's products run on 4-adically scaled operands, a = 2^s xi^d A(4 xi)
-with s = min over M of nu_2(a_M) - 2M (_ladder_product), so the kernel
-multiplies entries about half as wide.  On top of it sit two towers:
+and 3-adic floors.  zeta_{i,j} starts at d_min(i, j) with an odd
+coefficient, and is a stay row when d_min(i, j+1) = d_min(i, j); stay rows
+and other rows alternate.  Its coefficient at offset M above d_min(i, j) is
+divisible by 2^f(M), with f(M) = 2M on a stay row and f(0) = 0,
+f(M) = 2M - 1 on any other row, and its coefficient of xi^D by 9^(T_j - D)
+below T_j = j + floor(5i/2), the row's 3-adic top.  The walk stores each
+entry divided by both floors; the entries below T_j are the row's head.  On
+the rows of the phi_9 step the powers of 2 are 29% of the bits and the
+powers of 3 another 38% of what is left.  The recurrence maps floored rows
+to floored rows with small integer coefficients (_next_row): in the head a
+factor 9 moves from a term of row j-1 to a term of row j, so the walk never
+divides; the one division is the checked one that floors the pair, which
+raises ArithmeticError naming the offset if a floor fails.
+
+unitize multiplies each floored entry by the odd part of c_j and shifts it
+back by nu_2(c_j) + f(M): the tower's coefficients carry hundreds of
+trailing zero bits, which would otherwise go through every big-integer
+product.  They carry powers of 3 too: at every step of the lambda and phi
+towers against kappa^i, 3^(5i - 2j) divides c_j (by induction from lambda_3
+and phi_3, since a step with i even takes that floor to 3^(10i - 2D)).  So
+each head goes into a second accumulator that holds coefficient D times
+3^(2D - A*), and row j's whole head takes one multiplier,
+(c_j / 3^a_j) 3^(A_j - A*), with a_j = 5i - 2j checked by one divisibility
+test (0 if it fails), A_j = 2 T_j + a_j and A* the least A_j.  Each head
+coefficient is restored once by 3^(A* - 2D).  Where that divides, it
+divides exactly: every row j in the sum has D < T_j, so its term carries
+3^(A_j - 2D) with A_j - 2D = 2 (T_j - D) + a_j > 0.  The tails add into the
+first accumulator as they are.
+
+The ladder's products run on 4-adically scaled operands,
+a = 2^s xi^d A(4 xi) with s = min over M of nu_2(a_M) - 2M
+(_ladder_product), so the kernel multiplies entries about half as wide.
+On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
 phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
 q^n.  lambda_poly walks up from lambda_2 on every call and keeps no level;
@@ -235,12 +253,14 @@ def d_min(i: int, j: int) -> int:
     return base + s
 
 
-def _floored(row: XiPoly, base: int, stay: bool) -> list[int]:
-    """The coefficients of row at offsets M = 0, 1, ... above base, each divided by 2^f(M).
+def _floored(row: XiPoly, base: int, stay: bool, head: int) -> list[int]:
+    """The coefficients of row at offsets M = 0, 1, ... above base, each divided
+    by 2^f(M) * 9^max(0, head - M).
 
     f(M) = 2M on a stay row; f(0) = 0 and f(M) = 2M - 1 on any other row.
-    Raises ArithmeticError naming the offset if a coefficient sits below base
-    or is not divisible by its floor.
+    ``head`` is T - base for the row's 3-adic top T = j + floor(5i/2), so the
+    entries M < head carry the 3-floor.  Raises ArithmeticError naming the
+    offset if a coefficient sits below base or is not divisible by either floor.
     """
     if row.coeffs and row.low < base:
         raise ArithmeticError(f"offset {row.low - base}: nonzero coefficient below base degree {base}")
@@ -251,37 +271,52 @@ def _floored(row: XiPoly, base: int, stay: bool) -> list[int]:
             v = (out[m] & -out[m]).bit_length() - 1
             raise ArithmeticError(f"offset {m} above degree {base}: valuation {v} below floor {f}")
         out[m] >>= f
+    for m in range(min(head, len(out))):
+        out[m], rest = divmod(out[m], 9 ** (head - m))
+        if rest:
+            v = next(v for v in count() if rest % 3 ** (v + 1))
+            floor = 2 * (head - m)
+            raise ArithmeticError(f"offset {m} above degree {base}: 3-adic valuation {v} below floor {floor}")
     return out
 
 
-def _next_row(alpha: list[int], beta: list[int], stay: bool) -> list[int]:
+def _next_row(alpha: list[int], beta: list[int], stay: bool, head: int) -> list[int]:
     """Floored row j+1 of the xi recurrence from floored rows j (alpha) and j-1 (beta).
 
-    ``stay`` says whether row j is a stay row; the rows alternate, so row j+1
-    is one exactly when row j is not.  Take q = beta, and p_M = alpha_{M-1}
-    after a stay row (row j+1 starts where row j does, row j-1 one degree
-    lower) or p = alpha after any other row; then double the entry 0 of
-    whichever of p, q is not a stay row, whose floor there is 0 and not
-    2*0 - 1.  Entry M of the new row is 5 p_M - p_{M-1} - 9 q_M + 2 q_{M-1},
-    formed as 5 w_M + q_M - w_{M-1} with w_M = p_M - 2 q_M, except entry 0
-    after a stay row: the new row is then not a stay row, and that entry is
-    -9 beta_0.  Every entry is a small-integer combination: the walk never
-    divides.
+    ``stay`` says whether row j is a stay row and ``head`` is row j's head
+    (see _floored); the rows alternate, so row j+1 is a stay row exactly when
+    row j is not, and its head h is head + stay.  Take q = beta, and
+    p_M = alpha_{M-1} after a stay row (row j+1 starts where row j does, row
+    j-1 one degree lower) or p = alpha after any other row; then double the
+    entry 0 of whichever of p, q is not a stay row, whose 2-floor there is 0
+    and not 2*0 - 1.  Past the head, M > h, entry M of the new row is
+    5 p_M - p_{M-1} - 9 q_M + 2 q_{M-1}, formed as 5 w_M + q_M - w_{M-1} with
+    w_M = p_M - 2 q_M.  Below it, M < h, the 3-floors move the 9 from q_M to
+    p_{M-1}: a_M - 2 a_{M-1} + p_{M-1} with a_M = 5 p_M - q_M; at M = h both
+    carry it.  Entry 0 after a stay row is -beta_0, or -9 beta_0 if h = 0: the
+    new row is then not a stay row.  Every entry is a small-integer
+    combination: the walk never divides.
     """
     p = [0] * stay + alpha
     q = beta[:]
     n = max(len(p), len(q)) + 1
     p += [0] * (n - len(p))
     q += [0] * (n - len(q))
-    head = -9 * q[0]
+    h = max(head + stay, -1)
+    first = -q[0] if h > 0 else -9 * q[0]
     if stay:
         q[0] <<= 1
     else:
         p[0] <<= 1
-    w = [x - (y << 1) for x, y in zip(p, q)]
-    row = [5 * x + y - z for x, y, z in zip(w, q, [0, *w])]
+    a = [5 * x - y for x, y in zip(p[: h + 1], q)]
+    row = [z - (w << 1) + x for z, w, x in zip(a[:h], [0, *a], [0, *p])]
+    edge = 0 <= h < n
+    if edge:
+        row.append(a[h] - (q[h] << 3) - ((a[h - 1] << 1) - p[h - 1] if h else 0))
+    w = [x - (y << 1) for x, y in zip(p[h + 1 :], q[h + 1 :])]
+    row += [5 * x + y - z for x, y, z in zip(w, q[h + 1 :], [p[h] - (q[h] << 1) if edge else 0, *w])]
     if stay:
-        row[0] = head
+        row[0] = first
     while row and not row[-1]:
         row.pop()
     return row
@@ -291,17 +326,19 @@ def _floored_rows(i: int, j: int) -> Iterator[tuple[int, bool, list[int]]]:
     """(d_min, stay, floored row) for zeta_{i,j}, zeta_{i,j+1}, ..., built on
     demand from the ladder's pair at (i, j)."""
     # zeta_{i,j} is a stay row, d_min(i, j+1) = d_min(i, j), for odd j at even i
-    # and even j at odd i
+    # and even j at odd i; its head, j + floor(5i/2) - d_min(i, j), grows by one
+    # after each stay row
     base, stay = d_min(i, j), (i + j) & 1 == 1
+    head = j + 5 * i // 2 - base
     first, second = _pair(i, j)
-    beta = _floored(first, base, stay)
+    beta = _floored(first, base, stay, head)
     yield base, stay, beta
-    base, stay = base + (not stay), not stay
-    alpha = _floored(second, base, stay)
+    base, head, stay = base + (not stay), head + stay, not stay
+    alpha = _floored(second, base, stay, head)
     while True:
         yield base, stay, alpha
-        alpha, beta = _next_row(alpha, beta, stay), alpha
-        base, stay = base + (not stay), not stay
+        alpha, beta = _next_row(alpha, beta, stay, head), alpha
+        base, head, stay = base + (not stay), head + stay, not stay
 
 
 # unitize(p, i) starts its walk at the pair (i, j0) for the multiple j0 of
@@ -397,26 +434,46 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     """U(kappa^i p(xi)) = sum_j c_j zeta_{i,j} for p = sum_j c_j xi^j.
 
     Walks the floored rows of zeta_{i,j} in j up from the pair at j0, the
-    multiple of 32 at or below p's lowest degree, two rows live, and adds each
-    c_j * zeta_{i,j} into one dense list that starts at d_min(i, p.low), the
-    base of the first row walked.  The entry of row j at offset M above
-    d_min(i, j) is stored divided by 2^f(M) (see _floored), and c_j is split
-    into its odd part c and 2^v: each entry adds (c * entry) << (v + f(M)).
+    multiple of 32 at or below p's lowest degree, two rows live.  Both lists
+    start at d_min(i, p.low), the base of the first row walked: each entry of
+    row j adds (c * entry) << (v + f(M)) into acc past the head, with c the
+    odd part of c_j = 2^v c, and (m_j * entry) << (v + f(M)) into heads below
+    it, with m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring).
     """
     if p.is_zero:
         return ZERO
     j0 = p.low - p.low % _PAIR_STRIDE
     base = d_min(i, p.low)
+    top = 5 * i // 2
+    # a_j = 5i - 2j where that 3-floor holds, else 0 (one test per row), and
+    # A* the least A_j = 2 (j + top) + a_j over the nonzero c_j
+    tower_floors = count(5 * i - 2 * p.low, -2)
+    floors = [a if a > 0 and not c % 3**a else 0 for a, c in zip(tower_floors, p.coeffs)]
+    a_star = min(2 * (j + top) + a for j, a, c in zip(count(p.low), floors, p.coeffs) if c)
     acc: list[int] = []  # acc[t] is the coefficient of xi^(base + t)
+    heads: list[int] = []  # heads[t] is the head sum at xi^(base + t) times 3^(2(base + t) - A*)
     rows = islice(_floored_rows(i, j0), p.low - j0, None)
-    for c, (low, stay, row) in zip(p.coeffs, rows):
+    for j, c, a, (low, stay, row) in zip(count(p.low), p.coeffs, floors, rows):
         if c:
             v = (c & -c).bit_length() - 1
             c >>= v
             s, n = low - base, len(row)
+            h = min(max(j + top - low, 0), n)
             acc += [0] * (s + n - len(acc))
-            shifts = range(v, v + 2 * n, 2) if stay else chain((v,), range(v + 1, v + 2 * n, 2))
-            acc[s : s + n] = [x + (c * y << t) for x, y, t in zip(acc[s : s + n], row, shifts)]
+            f = v - 1 + stay  # entry M >= 1 shifts back by f + 2M, entry 0 by v
+            shifts = chain((v,), range(f + 2, f + 2 * n, 2))
+            if h:
+                heads += [0] * (s + h - len(heads))
+                m = c // 3**a * 3 ** (2 * (j + top) + a - a_star)
+                heads[s : s + h] = [x + (m * y << t) for x, y, t in zip(heads[s : s + h], row, shifts)]
+                shifts = range(f + 2 * h, f + 2 * n, 2)
+            acc[s + h : s + n] = [x + (c * y << t) for x, y, t in zip(acc[s + h : s + n], row[h:], shifts)]
+    # heads[t] times 3^(A* - 2(base + t)): a multiply, or an exact division
+    e = a_star - 2 * base
+    for t, x in enumerate(heads):
+        if x:
+            acc[t] += x * 3**e if e >= 0 else x // 3**-e
+        e -= 2
     return XiPoly._row(base, acc)
 
 

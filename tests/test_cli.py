@@ -8,6 +8,7 @@ import pytest
 
 from pdocong import (
     FAMILIES,
+    EtaQuotientSpec,
     XiPoly,
     expand,
     lambda_poly,
@@ -396,6 +397,31 @@ def test_oversize_expansions_are_refused_up_front(monkeypatch, capsys, argv, ord
     assert time.process_time() - start < 0.5
     assert (code, out) == (2, "")
     assert err == f"error: order {order} times {passes} expansion passes is over the limit 786432\n"
+
+
+@pytest.mark.parametrize(
+    "spec, order, terms",
+    [("1^-6", 131072, 2172), ("1^6", 131072, 2172), ("1^-6", 85849, 1758), ("2^-3;1^-3", 100000, 1617)],
+)
+def test_expansions_over_the_term_budget_are_refused_up_front(monkeypatch, capsys, spec, order, terms):
+    # within the pass budget, but each pass over E(q^m) reads isqrt(order // m)
+    # terms per coefficient: 6 * 362 for E(q)^-6 at 2^17 against delta's 1150
+    _refuse_tables(monkeypatch)
+    assert order * sum(abs(e) for _, e in EtaQuotientSpec.parse(spec).factors) <= 6 * cli.MAX_ORDER
+    code, out, err = run_cli(capsys, "expand", "--spec", spec, "--order", str(order))
+    assert (code, out) == (2, "")
+    limit = "is over the limit 150732800"
+    assert err == f"error: order {order} times {terms} E(q^m) terms per coefficient {limit}\n"
+
+
+def test_the_expansion_term_limit_is_inclusive(monkeypatch, capsys):
+    orders = []
+    monkeypatch.setattr(cli, "expand", lambda spec, order: orders.append(order) or expand(spec, 8))
+    assert cli.MAX_EXPANSION_PRICE == 131072 * 1150 == 150732800
+    for spec, order in (("1^-6", 85848), ("4^1;6^2;1^-1;3^-1;12^-1", 131072)):
+        assert main(["expand", "--spec", spec, "--order", str(order)]) == 0
+        capsys.readouterr()
+    assert orders == [85848, 131072]
 
 
 def test_the_expansion_pass_limit_is_inclusive(monkeypatch, capsys):

@@ -79,6 +79,31 @@ def test_unitize_matches_sparse_sum_on_two_adic_coefficients(oracle, terms, i):
     assert unitize(p, i) == oracle.unitize(p, i)
 
 
+@st.composite
+def floored_terms(draw):
+    """(terms, i): coefficients +-2^e 3^t u with u prime to 6, each either on
+    the towers' floor, t >= 5i - 2j, or off it, t < 5i - 2j."""
+    i = draw(st.sampled_from((0, 1, 3, 6, 64)))
+    terms = {}
+    for j in draw(st.sets(st.integers(0, 40), min_size=1, max_size=6)):
+        floor3 = max(5 * i - 2 * j, 0)
+        if floor3 and not draw(st.booleans()):
+            t = draw(st.integers(0, floor3 - 1))
+        else:
+            t = floor3 + draw(st.integers(0, 3))
+        u = 6 * draw(st.integers(0, 2**60)) + draw(st.sampled_from((1, 5)))
+        terms[j] = draw(st.sampled_from((1, -1))) * (3**t * u << draw(st.integers(0, 300)))
+    return terms, i
+
+
+@settings(max_examples=60, deadline=None)
+@given(floored_terms())
+def test_unitize_matches_sparse_sum_on_and_off_the_three_adic_floor(oracle, case):
+    terms, i = case
+    p = XiPoly(terms)
+    assert unitize(p, i) == oracle.unitize(p, i)
+
+
 # the ladder's cells: small i and j, odd and even i around powers of two, and
 # the j at which the top phi and lambda levels start (427 for phi_8, lambda_10)
 PAIR_I = [*range(18), 31, 33, 127, 128, 255, 256]
@@ -180,17 +205,32 @@ def floor(m, stay):
     return 2 * m if stay else max(2 * m - 1, 0)
 
 
+def head(i, j):
+    """T - d_min(i, j) for the 3-adic top T = j + floor(5i/2): offset M carries
+    9^(head - M) while M < head."""
+    return j + 5 * i // 2 - d_min(i, j)
+
+
+def nu3(c):
+    v = 0
+    while c % 3 ** (v + 1) == 0:
+        v += 1
+    return v
+
+
 def assert_floors_hold(p, i, j):
     # zeta_{i,j} starts at d_min(i, j), and offset M carries at least f(M)
-    # trailing zero bits, f(M) = 2M exactly when d_min(i, j + 1) = d_min(i, j)
+    # trailing zero bits, f(M) = 2M exactly when d_min(i, j + 1) = d_min(i, j),
+    # and the coefficient of xi^D is divisible by 9^(j + floor(5i/2) - D)
     base, stay = d_min(i, j), d_min(i, j + 1) == d_min(i, j)
     assert p.low == base, (i, j)
     for m, c in enumerate(p.coeffs):
         assert nu2(c) >= floor(m, stay), (i, j, m)
+        assert not c or nu3(c) >= 2 * (head(i, j) - m), (i, j, m)
 
 
 def test_floors_hold_on_the_small_grid():
-    # the sparse builder's rows against the floors, and the floored walk from
+    # the sparse builder's rows against both floors, and the floored walk from
     # j = 0 against the same rows, entry by entry once scaled back
     rows = SparseZeta()
     for i in range(41):
@@ -199,7 +239,8 @@ def test_floors_hold_on_the_small_grid():
             p = rows(i, j)
             assert_floors_hold(p, i, j)
             assert (base, stay) == (d_min(i, j), d_min(i, j + 1) == base)
-            assert row == [c >> floor(m, stay) for m, c in enumerate(p.coeffs)], (i, j)
+            scales = [9 ** max(head(i, j) - m, 0) << floor(m, stay) for m in range(len(p.coeffs))]
+            assert row == [c // scale for c, scale in zip(p.coeffs, scales)], (i, j)
         for j in range(2, 81):
             del rows.memo[i, j]
 
@@ -209,6 +250,21 @@ def test_floors_hold_on_the_ladder_cells(i):
     # the pairs are checked against the sparse builder in test_pair_matches_sparse_builder
     for j in (0, 213, 427, 428):
         low, high = xipoly._pair(i, j)
+        assert_floors_hold(low, i, j)
+        assert_floors_hold(high, i, j + 1)
+
+
+def test_floors_hold_on_the_pairs_the_towers_build(monkeypatch):
+    # every ladder pair that phi_3 .. phi_9 and the lambda walk to lambda_11 start from
+    cells = set()
+    pair = xipoly._pair
+    monkeypatch.setattr(xipoly, "_pair", lambda i, j: cells.add((i, j)) or pair(i, j))
+    phi_poly.cache_clear()
+    phi_poly(9)
+    xipoly.phi_poly_direct(9)
+    assert {(8, 0), (64, 96), (256, 416)} <= cells
+    for i, j in sorted(cells):
+        low, high = pair(i, j)
         assert_floors_hold(low, i, j)
         assert_floors_hold(high, i, j + 1)
 
@@ -228,6 +284,25 @@ def test_a_pair_off_by_one_bit_raises(monkeypatch, offset):
         unitize(XiPoly({j: 1, j + 5: 3}), i)
 
 
+@pytest.mark.parametrize("offset", [0, 1, 5])
+def test_a_pair_one_power_of_three_short_raises(monkeypatch, offset):
+    # one coefficient of the pair's first row keeps its 2-floor but holds one
+    # factor of 3 fewer than its 3-floor 9^(head - M) asks for
+    i, j = 6, 32
+    low, high = xipoly._pair(i, j)
+    stay = d_min(i, j + 1) == d_min(i, j)
+    g = head(i, j) - offset
+    assert g > 0
+    coeffs = list(low.coeffs)
+    coeffs[offset] += 3 ** (2 * g - 1) << floor(offset, stay)
+    broken = XiPoly._row(low.low, coeffs)
+    assert nu3(broken.coeffs[offset]) == 2 * g - 1
+    monkeypatch.setattr(xipoly, "_pair", lambda *cell: (broken, high))
+    message = f"offset {offset} above degree {d_min(i, j)}: 3-adic valuation {2 * g - 1} below floor {2 * g}"
+    with pytest.raises(ArithmeticError, match=message):
+        unitize(XiPoly({j: 1, j + 5: 3}), i)
+
+
 def test_a_pair_below_its_base_raises(monkeypatch):
     low, high = xipoly._pair(3, 0)
     monkeypatch.setattr(xipoly, "_pair", lambda *cell: (XiPoly({low.low - 1: 1}) + low, high))
@@ -238,9 +313,12 @@ def test_a_pair_below_its_base_raises(monkeypatch):
 def test_floored_row_rejects_the_other_rule():
     # zeta_{0,2} has an offset-1 coefficient of valuation 1: the floor of a
     # row that is not a stay row, too low for a stay row
-    assert xipoly._floored(zeta(0, 2), 1, False) == [-9, 29, -10, 1]
+    assert xipoly._floored(zeta(0, 2), 1, False, 1) == [-1, 29, -10, 1]
     with pytest.raises(ArithmeticError, match="offset 1 above degree 1"):
-        xipoly._floored(zeta(0, 2), 1, True)
+        xipoly._floored(zeta(0, 2), 1, True, 1)
+    # and -9 xi, the one entry under its head, meets 9^1 but not 9^2
+    with pytest.raises(ArithmeticError, match="offset 0 above degree 1: 3-adic valuation 2 below floor 4"):
+        xipoly._floored(zeta(0, 2), 1, False, 2)
 
 
 # integer polynomials: small odd coefficients give s < 0, 2-adic ones s > 0

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -136,10 +137,14 @@ def test_initial_values_consistent_with_recurrences():
     assert k1 * initial[(1, 0)] - k2 * initial[(0, 0)] == initial[(2, 0)]
     assert x1 * initial[(0, 1)] - x2 * initial[(0, 0)] == initial[(0, 2)]
     # the package's floored xi step takes the same two rows to the same value:
-    # zeta_{0,1} is a stay row at degree 1, zeta_{0,0} and zeta_{0,2} are not
-    floored = {j: xipoly._floored(initial[(0, j)], xipoly.d_min(0, j), j == 1) for j in range(3)}
-    assert floored == {0: [1], 1: [5, -1], 2: [-9, 29, -10, 1]}
-    assert xipoly._next_row(floored[1], floored[0], True) == floored[2]
+    # zeta_{0,1} is a stay row at degree 1, zeta_{0,0} and zeta_{0,2} are not;
+    # the head j - d_min(0, j) is 0, 0 and 1, so only -9 xi carries a 3-floor
+    floored = {
+        j: xipoly._floored(initial[(0, j)], xipoly.d_min(0, j), j == 1, j - xipoly.d_min(0, j))
+        for j in range(3)
+    }
+    assert floored == {0: [1], 1: [5, -1], 2: [-1, 29, -10, 1]}
+    assert xipoly._next_row(floored[1], floored[0], True, 0) == floored[2]
 
 
 def test_zeta_printed_examples():
@@ -210,6 +215,13 @@ def test_phi3_printed_polynomial():
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_phi_recursive_equals_direct(k):
     assert phi_poly(k) == phi_poly_direct(k)
+
+
+def test_phi10_digest_is_pinned():
+    # phi_10, the CLI's top phi level, where unitize's two accumulators carry
+    # most of the work; the digest was taken before the 3-adic floors were used
+    digest = hashlib.sha256(repr(phi_poly(10).terms()).encode()).hexdigest()
+    assert digest == "1017f7f8b9fa2d583c189a5faa90f8ae8521ca571737ee4f16f1ebdd0b45047c"
 
 
 def test_poly_to_series_constant():
@@ -348,24 +360,29 @@ def test_row_trims_to_first_and_last_nonzero(coeffs, low):
     assert row == XiPoly({low + t: c for t, c in enumerate(coeffs)})
 
 
-def unfloored(row, base, stay):
-    """The polynomial whose coefficient at offset M above base is row[M] * 2^f(M)."""
-    return XiPoly({base + m: c << (m and 2 * m - 1 + stay) for m, c in enumerate(row)})
+def unfloored(row, base, stay, head):
+    """The polynomial whose coefficient at offset M above base is
+    row[M] * 2^f(M) * 9^max(0, head - M)."""
+    scales = [9 ** max(head - m, 0) << (m and 2 * m - 1 + stay) for m in range(len(row))]
+    return XiPoly({base + m: c * scale for m, (c, scale) in enumerate(zip(row, scales))})
 
 
 floored_rows = st.lists(st.integers(-(2**70), 2**70) | st.integers(-3, 3), max_size=12)
 
 
-@given(floored_rows, floored_rows, st.booleans(), st.integers(1, 90))
-def test_step_is_the_xi_recurrence(alpha, beta, stay, base):
+@given(floored_rows, floored_rows, st.booleans(), st.integers(1, 90), st.integers(-1, 14))
+def test_step_is_the_xi_recurrence(alpha, beta, stay, base, head):
     # arbitrary integer rows, the empty row and rows with zeros at either end,
     # against the sigma pair that the oracle derives from the base values: row
     # j sits at base, row j - 1 one degree lower exactly when row j is a stay
-    # row, and row j + 1 one degree higher exactly when it is not
+    # row, and row j + 1 one degree higher exactly when it is not; the 3-adic
+    # top T = base + head rises by one per row, so the heads run head - 1 + stay,
+    # head and head + stay, from none to past the longest row
     sigma1, sigma2 = sigma_pairs()["xi"]
-    a, b = unfloored(alpha, base, stay), unfloored(beta, base - stay, not stay)
-    step = xipoly._next_row(alpha, beta, stay)
-    assert unfloored(step, base + (not stay), not stay) == sigma1 * a - sigma2 * b
+    a = unfloored(alpha, base, stay, head)
+    b = unfloored(beta, base - stay, not stay, head - 1 + stay)
+    step = xipoly._next_row(alpha, beta, stay, head)
+    assert unfloored(step, base + (not stay), not stay, head + stay) == sigma1 * a - sigma2 * b
     assert not step or step[-1]
 
 
