@@ -23,12 +23,14 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # Requests past these limits are refused up front with exit 2, before any table
 # or polynomial is built.  pdo_series(2**17) takes about 3 s and 60 MB; each
 # top tower level costs about 10 times the one below; phi --k 10 and
-# lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.9-3.3 and
-# 1.9-3.0 s cold (23 MB).  The zeta limit holds for --i and --j alike: the
-# dearest cells at or below it, zeta --i 1535 with a small --j, take 2.0-2.2 s
-# and 55 MB cold, and zeta(2048, 0) takes 2.8-3.4 s and 76 MB (three to six
-# cold runs each on a shared Xeon core, CPython 3.11).  The limits were set
-# when the dearest of these calls took about 6 s, and are kept.
+# lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.9-2.7 and
+# 1.9-2.5 s cold (23 MB).  The zeta limit holds for --i and --j alike: the
+# dearest cells at or below it, zeta --i 1535 with a small --j, take 2.1-2.7 s
+# and 51 MB cold (every level of the ladder to (1535, 0), 5.7 MB, stays in
+# the pair cache while the 8.9 MB of text is written), zeta --i 1536
+# --j 1536 1.5-1.8 s and 44 MB (six cold runs each on a shared Xeon core,
+# CPython 3.11), and zeta(2048, 0) took 3.6 s and 77 MB in one cold run.  The
+# limits were set when the dearest of these calls took about 6 s, and are kept.
 # ``expand`` runs |e| sparse passes over each factor E(q^m)^e and is held to
 # two budgets, each delta's at the order limit.  A pass costs at least its
 # order, so order times sum |e| is held to 6 * MAX_ORDER, which bounds the
@@ -327,6 +329,18 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
     )
 
 
+# a text stream encodes each write whole, so one write of a large output holds
+# a second, encoded copy of it: zeta --i 1535 --j 0 prints 8.9 MB
+_WRITE_CHUNK = 1 << 20
+
+
+def _write_line(handle, text: str) -> None:
+    """text and a newline, written in slices of _WRITE_CHUNK characters."""
+    for start in range(0, len(text), _WRITE_CHUNK):
+        handle.write(text[start : start + _WRITE_CHUNK])
+    handle.write("\n")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -341,12 +355,12 @@ def main(argv=None) -> int:
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                _write_line(handle, text)
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     elif text:
-        print(text)
+        _write_line(sys.stdout, text)
     return code
 
 

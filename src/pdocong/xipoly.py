@@ -22,11 +22,16 @@ Kronecker kernel that Series products use; a power is the Series power of the
 row.
 
 unitize(p, i) = U(kappa^i p(xi)) walks the rows zeta_{i,j} in j, two live at a
-time, from the pair zeta_{i,j0}, zeta_{i,j0+1} at the multiple j0 of 32 at or
-below p's lowest degree; the pair comes from halving (i, j0) down to the
-initial table with the doubling identity, so no recurrence runs through every
-smaller i or through the rows below j0.  The walk runs on the rows' 2-adic
-and 3-adic floors.  zeta_{i,j} starts at d_min(i, j) with an odd
+time, from the pair zeta_{i,j0}, zeta_{i,j0+1}, where j0 is p's lowest degree
+with all but its four leading bits cleared (0 below 16), so fewer than
+max(16, p.low / 8) rows below p.low are walked.  The pair takes one step of
+the doubling identity from the cached pair at (floor(i/2), floor(j0/2)),
+built the same way down to the initial table, so no recurrence runs through
+every smaller i or through the rows below j0.  From one tower level to the
+next i doubles and the lowest degree about doubles (427 = 2 * 214 - 1), so
+the start row doubles too (416 = 2 * 208) and the ladder finds the pair below
+cached: from phi_6 and lambda_8 on, each level's pair is one step.  The walk
+runs on the rows' 2-adic and 3-adic floors.  zeta_{i,j} starts at d_min(i, j) with an odd
 coefficient, and is a stay row when d_min(i, j+1) = d_min(i, j); stay rows
 and other rows alternate.  Its coefficient at offset M above d_min(i, j) is
 divisible by 2^f(M), with f(M) = 2M on a stay row and f(0) = 0,
@@ -341,11 +346,6 @@ def _floored_rows(i: int, j: int) -> Iterator[tuple[int, bool, list[int]]]:
         base, head, stay = base + (not stay), head + stay, not stay
 
 
-# unitize(p, i) starts its walk at the pair (i, j0) for the multiple j0 of
-# _PAIR_STRIDE at or below p.low, so the small-j cells of zeta share (i, 0)
-_PAIR_STRIDE = 32
-
-
 def _sigma_power(shift: int, d: int) -> XiPoly:
     """xi^shift * (9 - 8 xi)^d, the binomial coefficients in closed form."""
     return XiPoly._row(shift, [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)])
@@ -381,12 +381,12 @@ def _ladder_product(a: XiPoly, b: XiPoly, e: int = 0) -> XiPoly:
     return XiPoly._row(a.low + b.low, back)
 
 
-# sixteen entries hold the nine pairs of the lambda walk to lambda_11: (1, 0),
-# (2, 0), (4, 0) and the six that phi_4 .. phi_9 read as well, so
-# phi_poly_direct(9) after phi_poly(3 .. 9) builds no pair again
-@lru_cache(maxsize=16)
+# every level of every ladder is kept: one tower iteration (phi_3 .. phi_9,
+# phi_poly_direct(9) and the Z-profile cells) reads 19 pairs, 0.65 MB in all
+@lru_cache(maxsize=32)
 def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
-    """zeta_{i,j} and zeta_{i,j+1}, by halving (i, j) down to the initial table.
+    """zeta_{i,j} and zeta_{i,j+1}, one doubling step from the cached pairs
+    at half (i, j).
 
     Multiplying out the halves of zeta_{a,b} zeta_{c,d} (module docstring),
     the cross terms are (kappa(q) kappa(-q))^c (xi(q) xi(-q))^d times the halves
@@ -396,53 +396,48 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
 
         zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
 
-    Taking c = floor(m/2), d = floor(n/2) for the target (m, n) leaves
-    a - c and b - d in {0, 1}, so the last factor is an initial value, and the
-    pair at (m, n) needs only the pairs at (c, floor(n/2)) and, for odd m,
-    (c + 1, floor(n/2)).  Level by level the ladder keeps at most two pairs,
-    for adjacent i, from (i, j) down to i <= 1, j = 0.  Every product runs
-    through _ladder_product.
+    Taking c = floor(i/2), d = g = floor(j/2) leaves a - c = i mod 2 and
+    b - d in {0, 1}, so the last factor is an initial value, and the pair at
+    (i, j) needs only _pair(c, g) and, for odd i, _pair(c + 1, g).  The
+    recursion ends at i <= 1, j = 0, in the initial table.  unitize's start
+    rows halve with i, so a tower level's ladder finds the one below it in
+    the cache and takes one step.  Every product runs through _ladder_product.
     """
     init = zeta_initial()
-    # needs[level]: the i' whose pairs (i', j >> level) the level above reads
-    needs = [{i}]
-    while max(needs[-1]) > 1 or j >> (len(needs) - 1):
-        needs.append({m >> 1 for m in needs[-1]} | {(m >> 1) + 1 for m in needs[-1] if m & 1})
-    pairs = {m: (init[m, 0], init[m, 1]) for m in needs.pop()}
-    while needs:
-        n = j >> (len(needs) - 1)
-        g = n >> 1
-        doubled = {}
-        for m in needs.pop():
-            c, r = m >> 1, m & 1
-            low, high = pairs[c]  # zeta_{c,g}, zeta_{c,g+1}
-            a_low, a_high = pairs[c + r]  # zeta_{a,g}, zeta_{a,g+1} with a = m - c
-            sigma = _sigma_power(5 * c + g, g)
-            if n & 1:  # n = 2g + 1 = (g + 1) + g and n + 1 = (g + 1) + (g + 1)
-                first = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
-                sigma = _sigma_power(5 * c + g + 1, g + 1)
-                second = _ladder_product(a_high, high, 1) - _ladder_product(sigma, init[r, 0])
-            else:  # n = g + g and n + 1 = (g + 1) + g
-                first = _ladder_product(a_low, low, 1) - _ladder_product(sigma, init[r, 0])
-                second = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
-            doubled[m] = (first, second)
-        pairs = doubled
-    return pairs[i]
+    if i <= 1 and not j:
+        return init[i, 0], init[i, 1]
+    c, r = i >> 1, i & 1
+    g = j >> 1
+    low, high = _pair(c, g)  # zeta_{c,g}, zeta_{c,g+1}
+    a_low, a_high = _pair(c + 1, g) if r else (low, high)  # zeta_{a,g}, zeta_{a,g+1}, a = i - c
+    sigma = _sigma_power(5 * c + g, g)
+    if j & 1:  # j = 2g + 1 = (g + 1) + g and j + 1 = (g + 1) + (g + 1)
+        first = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
+        sigma = _sigma_power(5 * c + g + 1, g + 1)
+        second = _ladder_product(a_high, high, 1) - _ladder_product(sigma, init[r, 0])
+    else:  # j = g + g and j + 1 = (g + 1) + g
+        first = _ladder_product(a_low, low, 1) - _ladder_product(sigma, init[r, 0])
+        second = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
+    return first, second
 
 
 def unitize(p: XiPoly, i: int) -> XiPoly:
     """U(kappa^i p(xi)) = sum_j c_j zeta_{i,j} for p = sum_j c_j xi^j.
 
-    Walks the floored rows of zeta_{i,j} in j up from the pair at j0, the
-    multiple of 32 at or below p's lowest degree, two rows live.  Both lists
-    start at d_min(i, p.low), the base of the first row walked: each entry of
-    row j adds (c * entry) << (v + f(M)) into acc past the head, with c the
-    odd part of c_j = 2^v c, and (m_j * entry) << (v + f(M)) into heads below
-    it, with m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring).
+    Walks the floored rows of zeta_{i,j} in j up from the pair at j0, p's
+    lowest degree with all but its four leading bits cleared (0 below 16),
+    two rows live.  Both lists start at d_min(i, p.low), the base of the
+    first row walked: each entry of row j adds (c * entry) << (v + f(M)) into
+    acc past the head, with c the odd part of c_j = 2^v c, and
+    (m_j * entry) << (v + f(M)) into heads below it, with
+    m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring).
     """
     if p.is_zero:
         return ZERO
-    j0 = p.low - p.low % _PAIR_STRIDE
+    # the tower's lowest degree about halves from one level to the next
+    # (427, 214, 107, ...), and so do these start rows (416, 208, 104, ...)
+    shift = p.low.bit_length() - 4
+    j0 = p.low >> shift << shift if shift > 0 else 0
     base = d_min(i, p.low)
     top = 5 * i // 2
     # a_j = 5i - 2j where that 3-floor holds, else 0 (one test per row), and
@@ -529,11 +524,16 @@ def phi_poly(k: int) -> XiPoly:
 
 def phi_poly_direct(k: int) -> XiPoly:
     """phi via the defining difference lambda_{k+2} - (gamma^6)^{2^{k-3}} lambda_k,
-    both levels from one walk up the lambda tower."""
+    both levels from one walk up the lambda tower.
+
+    gamma^6 = xi^5 sigma_{xi,2}^5 = xi^10 (9 - 8 xi)^5, so its power e is
+    _sigma_power(10 e, 5 e), the binomial coefficients in closed form.
+    """
     if k < 3:
         raise ValueError(f"phi tower starts at k=3, got {k}")
     low, _, high = islice(_lambda_tower(), k - 2, k + 1)
-    return high - gamma6_poly() ** (2 ** (k - 3)) * low
+    e = 2 ** (k - 3)
+    return high - _sigma_power(10 * e, 5 * e) * low
 
 
 # (order, degree) -> xi(q)^degree truncated to order, the last 32 used

@@ -279,6 +279,21 @@ def test_out_file(tmp_path, capsys):
     assert XiPoly.from_records(json.loads(target.read_text())) == lambda_poly(2)
 
 
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, monkeypatch, fmt):
+    # the text goes out in slices of _WRITE_CHUNK characters; with slices of
+    # 7 the bytes on stdout and in --out are the one-piece text and a newline
+    argv = ["phi", "--k", "4", "--format", fmt]
+    whole = cli._render(fmt, *cli._cmd_phi(_build_parser().parse_args(argv))[1:]) + "\n"
+    assert len(whole) > 7 * 3
+    monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, whole)
+    target = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.read_bytes() == whole.encode()
+
+
 @pytest.mark.parametrize("where", ["missing/dir/report.txt", "."])
 def test_out_write_error_exits_2(tmp_path, capsys, where):
     # 1 would mean "counterexample found"; a file that cannot be written is a usage error

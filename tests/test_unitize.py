@@ -1,6 +1,7 @@
 """The streaming unitize and its doubling ladder against the memoized sparse
 builder in zeta_oracle."""
 
+import random
 from itertools import islice
 
 import pytest
@@ -105,9 +106,10 @@ def test_unitize_matches_sparse_sum_on_and_off_the_three_adic_floor(oracle, case
 
 
 # the ladder's cells: small i and j, odd and even i around powers of two, and
-# the j at which the top phi and lambda levels start (427 for phi_8, lambda_10)
+# the rows at which the top phi and lambda levels start (phi_8 and lambda_10
+# start at degree 427, so their walks at row 416)
 PAIR_I = [*range(18), 31, 33, 127, 128, 255, 256]
-PAIR_J = [*range(14), 100, 213, 427, 428]
+PAIR_J = [*range(14), 100, 208, 213, 416, 427, 428]
 
 
 @pytest.mark.parametrize("i", PAIR_I)
@@ -118,40 +120,58 @@ def test_pair_matches_sparse_builder(i):
         assert xipoly._pair(i, j) == (rows(i, j), rows(i, j + 1)), (i, j)
 
 
-@pytest.mark.parametrize("low", [30, 31, 32, 33, 64])
+@pytest.mark.parametrize("low", [15, 16, 17, 30, 31, 32, 33, 64])
 def test_unitize_across_the_pair_stride(oracle, low):
-    # p starts just below, at and just above a multiple of 32
+    # p starts just below, at and just above a start row: 16, 30, 32 and 64
+    # have no bit below their four leading ones
     p = XiPoly({low: 3, low + 1: -5, low + 4: 7})
     for i in (0, 1, 3, 64):
         assert unitize(p, i) == oracle.unitize(p, i), (low, i)
 
 
-@pytest.mark.parametrize("low, size", [(0, 1), (5, 3), (31, 1), (32, 1), (33, 4), (64, 40), (427, 6)])
+# p.low -> the start row j0: p.low with all but its four leading bits
+# cleared, 0 below 16; the tower's lowest degrees 27, 54, 107, 214, 427 start
+# at 26, 52, 104, 208, 416, each twice the one below
+START_ROWS = {0: 0, 5: 0, 15: 0, 17: 16, 27: 26, 31: 30, 32: 32, 33: 32, 54: 52, 64: 64, 107: 104, 214: 208,
+              427: 416, 1535: 1408}
+
+
+@pytest.mark.parametrize(
+    "low, size",
+    [(0, 1), (5, 3), (31, 1), (32, 1), (33, 4), (64, 40), (427, 6), (15, 2), (17, 1), (27, 2), (54, 1), (107, 4),
+     (214, 3), (1535, 1)],
+)
 def test_unitize_walks_from_the_stride_below_p(monkeypatch, low, size):
     starts, steps = [], []
     pair, step = xipoly._pair, xipoly._next_row
-    monkeypatch.setattr(xipoly, "_pair", lambda i, j: starts.append(j) or pair(i, j))
+    monkeypatch.setattr(xipoly, "_pair", lambda i, j: starts.append((i, j)) or pair(i, j))
     monkeypatch.setattr(xipoly, "_next_row", lambda *rows: steps.append(1) or step(*rows))
+    pair.cache_clear()
     p = XiPoly({low + t: t + 1 for t in range(size)})
     unitize(p, 5)
-    j0 = low - low % 32
-    assert starts == [j0]
+    j0 = START_ROWS[low]
+    # one walk, from (5, j0); every later call is the ladder's recursion into
+    # the halves (2, j0 >> 1) and (3, j0 >> 1) and below
+    assert starts[0] == (5, j0)
+    assert all(i < 5 and j <= j0 >> 1 for i, j in starts[1:])
+    assert {(2, j0 >> 1), (3, j0 >> 1)} <= set(starts)
     # the rows j0 .. low + size - 1, the first two from the pair
     assert len(steps) == max(0, low + size - 1 - j0 - 1)
 
 
 def test_pair_cache_is_bounded():
     xipoly._pair.cache_clear()
-    for i in range(20):
+    for i in range(40):
         zeta(i, 40)
     info = xipoly._pair.cache_info()
-    assert info.maxsize == 16 and info.currsize == 16
+    assert info.maxsize == 32 and info.currsize == 32
+    assert info.misses > 32
 
 
 def test_direct_route_reuses_the_phi_walk_pairs(monkeypatch):
     # phi_4 .. phi_9 and the lambda walk to lambda_11 share six ladder pairs;
-    # after the phi tower none of them may be built again
-    shared = {(8, 0), (16, 0), (32, 32), (64, 96), (128, 192), (256, 416)}
+    # after the phi tower the direct route builds no pair at all
+    shared = {(8, 0), (16, 26), (32, 52), (64, 104), (128, 208), (256, 416)}
     xipoly._pair.cache_clear()
     phi_poly.cache_clear()
     for k in range(3, 10):
@@ -169,18 +189,83 @@ def test_direct_route_reuses_the_phi_walk_pairs(monkeypatch):
     monkeypatch.setattr(xipoly, "_pair", spy)
     xipoly.phi_poly_direct(9)
     assert shared <= set(asked)
-    assert not shared & set(missed)
+    assert not missed
+
+
+# the cells of the ladder to (256, 416): each halves the one before, and
+# (1, 1) reads both initial pairs
+LADDER_256_416 = [(256, 416), (128, 208), (64, 104), (32, 52), (16, 26), (8, 13), (4, 6), (2, 3), (1, 1), (0, 0), (1, 0)]
 
 
 def test_top_phi_and_lambda_levels_share_one_pair():
-    # phi_9 and lambda_11 both unitize against kappa^256 from degree 427
+    # phi_9 and lambda_11 both unitize against kappa^256 from degree 427, so
+    # both start at row 416; the first builds its ladder, one miss per level,
+    # and the second takes the pair from the cache
     top_phi, top_lambda = phi_poly(8), lambda_poly(10)
     assert top_phi.low == top_lambda.low == 427
     xipoly._pair.cache_clear()
     unitize(top_phi, 256)
+    info = xipoly._pair.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (len(LADDER_256_416), 0, len(LADDER_256_416))
     unitize(top_lambda, 256)
     info = xipoly._pair.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert (info.misses, info.hits) == (len(LADDER_256_416), 1)
+
+
+def test_ladder_recurses_through_the_halves(monkeypatch):
+    cells = []
+    pair = xipoly._pair
+    monkeypatch.setattr(xipoly, "_pair", lambda i, j: cells.append((i, j)) or pair(i, j))
+    pair.cache_clear()
+    pair(256, 416)
+    assert cells == LADDER_256_416[1:]
+
+
+def test_ladder_takes_one_step_from_the_cached_half(monkeypatch):
+    # with (128, 208) cached, (256, 416) is one doubling step: two rows, each
+    # 2 zeta zeta minus a sigma term, so four ladder products
+    xipoly._pair.cache_clear()
+    xipoly._pair(128, 208)
+    misses = xipoly._pair.cache_info().misses
+    calls = []
+    product = xipoly._ladder_product
+    monkeypatch.setattr(xipoly, "_ladder_product", lambda *args: calls.append(1) or product(*args))
+    xipoly._pair(256, 416)
+    assert len(calls) == 4
+    assert xipoly._pair.cache_info().misses == misses + 1
+
+
+def tower_cells():
+    """The tower workload's traffic: phi_3 .. phi_9, the direct route at 9 and
+    the Z-profile cells i in (64, 128, 256), j < 12."""
+    ops = [lambda k=k: phi_poly(k) for k in range(3, 10)]
+    ops.append(lambda: xipoly.phi_poly_direct(9))
+    ops += [lambda i=i, j=j: zeta(i, j) for i in (64, 128, 256) for j in range(12)]
+    return ops
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tower_traffic_builds_each_pair_once(monkeypatch, seed):
+    # in any order the 32-entry cache holds every level of every ladder the
+    # tower reads, so no pair is built twice
+    ops = tower_cells()
+    random.Random(seed).shuffle(ops)
+    pair, missed = xipoly._pair, []
+
+    def spy(i, j):
+        misses = pair.cache_info().misses
+        result = pair(i, j)
+        if pair.cache_info().misses > misses:
+            missed.append((i, j))
+        return result
+
+    monkeypatch.setattr(xipoly, "_pair", spy)
+    pair.cache_clear()
+    phi_poly.cache_clear()
+    for op in ops:
+        op()
+    assert len(missed) == len(set(missed)) == 19
+    assert set(LADDER_256_416) | {(m, 0) for m in (2, 4, 8, 16, 32, 64, 128, 256)} == set(missed)
 
 
 def test_ladder_squares_pack_their_row_once(monkeypatch):
@@ -255,14 +340,16 @@ def test_floors_hold_on_the_ladder_cells(i):
 
 
 def test_floors_hold_on_the_pairs_the_towers_build(monkeypatch):
-    # every ladder pair that phi_3 .. phi_9 and the lambda walk to lambda_11 start from
+    # every ladder pair that phi_3 .. phi_9 and the lambda walk to lambda_11
+    # start from, and every level below them
     cells = set()
     pair = xipoly._pair
     monkeypatch.setattr(xipoly, "_pair", lambda i, j: cells.add((i, j)) or pair(i, j))
+    pair.cache_clear()
     phi_poly.cache_clear()
     phi_poly(9)
     xipoly.phi_poly_direct(9)
-    assert {(8, 0), (64, 96), (256, 416)} <= cells
+    assert set(LADDER_256_416) | {(m, 0) for m in (2, 4, 8)} == cells
     for i, j in sorted(cells):
         low, high = pair(i, j)
         assert_floors_hold(low, i, j)

@@ -519,3 +519,15 @@ def test_poly_to_series_is_ring_homomorphism(a):
     for deg, c in p.terms():
         direct = direct + xi**deg * c
     assert poly_to_series(p, order) == direct
+
+
+def test_gamma6_is_a_sigma_power():
+    # gamma^6 = xi^5 sigma_{xi,2}^5 = xi^10 (9 - 8 xi)^5
+    assert gamma6_poly() == xipoly._sigma_power(10, 5)
+
+
+@pytest.mark.parametrize("k", range(3, 10))
+def test_gamma6_powers_in_closed_form(k):
+    # phi_poly_direct(k) forms (gamma^6)^(2^(k-3)) as _sigma_power(10 e, 5 e)
+    e = 2 ** (k - 3)
+    assert gamma6_poly() ** e == xipoly._sigma_power(10 * e, 5 * e)
