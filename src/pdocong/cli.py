@@ -23,8 +23,8 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # Requests past these limits are refused up front with exit 2, before any table
 # or polynomial is built.  pdo_series(2**17) takes about 3 s and 60 MB; each
 # top tower level costs about 10 times the one below; phi --k 10 and
-# lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.9-2.7 and
-# 1.9-2.5 s cold (23 MB).  The zeta limit holds for --i and --j alike: the
+# lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.7-3.0 and
+# 1.6-3.0 s cold (24 MB; CPU time of ten cold runs each).  The zeta limit holds for --i and --j alike: the
 # dearest cells at or below it, zeta --i 1535 with a small --j, take 2.1-2.7 s
 # and 51 MB cold (every level of the ladder to (1535, 0), 5.7 MB, stays in
 # the pair cache while the 8.9 MB of text is written), zeta --i 1536

@@ -148,7 +148,7 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
     Verifies vanishing below tau(k), nu(F_k(tau_k)) >= 2K+3, and
     nu(F_k(tau_k + M)) >= 2K+M+2 for every further coefficient.  Measured
     cold on one shared Xeon core with CPython 3.11: about 0.02 s at k = 7,
-    0.4-0.5 s at k = 9 and 29 s at k = 11 (phi_poly(10) alone takes 2.2-3.5 s
+    0.4-0.5 s at k = 9 and 29 s at k = 11 (phi_poly(10) alone takes 1.5-2.9 s
     and 19 MB), in under 30 MB; each level costs roughly 10x the previous
     one.  The guard max_k stays 5 until these costs become input budgets.
     """

@@ -64,7 +64,9 @@ def test_unitize_matches_sparse_sum(oracle, terms, i):
 
 
 # +-2^e u with u odd, or +-2^e alone, as the tower's coefficients are: unitize
-# multiplies each row by the odd part and shifts the products back by e
+# shifts u left by the row's weight e_j = e - j + const above the live band's
+# base, so exponents up to 600 put the rows of one p in bands far apart,
+# above and below each other
 two_adic = st.builds(
     lambda sign, e, u: sign * (u << e),
     st.sampled_from((1, -1)),
@@ -443,3 +445,92 @@ def test_unitize_accumulates_from_the_first_row_base(monkeypatch):
     base = d_min(32, p.low)
     assert base > 0 and out.low == base
     assert calls[-1] == (base, out.degree() - base + 1)
+
+
+# the banded accumulators: slot t of unitize(p, i) is held in units of
+# 2^(2t + E), and row j of p = sum c_j xi^j carries 2^(e_j - E) there
+
+
+def weight(i, low, j, c):
+    """e_j of the term c xi^j in unitize(p, i) with p.low = low:
+    nu_2(c) - 1 + stay_j - 2 (d_min(i, j) - d_min(i, low))."""
+    stay = d_min(i, j + 1) == d_min(i, j)
+    return nu2(c) - 1 + stay - 2 * (d_min(i, j) - d_min(i, low))
+
+
+def weighted(i, low, j, e, u):
+    """u 2^v for odd u, with v such that u 2^v xi^j has weight e."""
+    v = e - weight(i, low, j, 1)
+    assert v >= 0
+    return u << v
+
+
+def test_weight_drops_by_one_per_row_less_the_valuation():
+    # 2 d_min(i, j) - stay_j grows by one per row, so e_j + j - nu_2(c_j) is
+    # the same on every row, which unitize uses to find the least e_j up front
+    for i in range(40):
+        for low in range(12):
+            lift = low - 1 + ((i + low) & 1)
+            assert all(weight(i, low, j, 1) == lift - j for j in range(low, low + 30)), (i, low)
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """The number of times unitize opens a band after its first, from the
+    calls to _merge: two per band opened, and two at the end."""
+    calls = []
+    merge = xipoly._merge
+    monkeypatch.setattr(xipoly, "_merge", lambda total, live, e: calls.append(e) or merge(total, live, e))
+    return lambda: len(calls) // 2 - 1
+
+
+@pytest.mark.parametrize("i", [3, 64, 65])
+@pytest.mark.parametrize("gap, opened", [(xipoly._BAND - 1, 0), (xipoly._BAND, 1)])
+def test_a_row_at_the_band_edge(oracle, bands, i, gap, opened):
+    # the first band opens at the least weight e0, here the first row's; a row
+    # at e0 + _BAND - 1 still adds into it, one at e0 + _BAND opens the next
+    low = 10
+    e0 = weight(i, low, low, 5)
+    terms = {low: 5, low + 1: weighted(i, low, low + 1, e0 + 1, -3), low + 3: weighted(i, low, low + 3, e0 + gap, 7)}
+    p = XiPoly(terms)
+    assert weight(i, low, low + 3, p.coeff(low + 3)) - e0 == gap
+    assert unitize(p, i) == oracle.unitize(p, i)
+    assert bands() == opened
+
+
+@pytest.mark.parametrize("i", [3, 64, 65])
+def test_a_row_below_the_live_band(oracle, bands, i):
+    # weights e0 + 100, e0 + 70, e0 on three rows: the first lies above the
+    # first band, which opens at e0, and each later row falls below the band
+    # the one before opened, so each row opens its own
+    low = 12
+    e0 = weight(i, low, low + 5, 1)
+    rows = {low: 100, low + 2: 70, low + 5: 0}
+    p = XiPoly({j: weighted(i, low, j, e0 + g, 3 + 2 * j) for j, g in rows.items()})
+    assert unitize(p, i) == oracle.unitize(p, i)
+    assert bands() == 3
+
+
+@pytest.mark.parametrize("i", [3, 64, 65])
+def test_a_jump_of_several_bands(oracle, bands, i):
+    # e0, then e0 + 5 _BAND + 7 and back to e0 + 1: the far row opens a band of
+    # its own, and so does the row after it
+    low = 8
+    e0 = weight(i, low, low, 9)
+    far = 5 * xipoly._BAND + 7
+    terms = {low: 9, low + 1: weighted(i, low, low + 1, e0 + far, -1), low + 2: weighted(i, low, low + 2, e0 + 1, 5)}
+    p = XiPoly(terms)
+    assert unitize(p, i) == oracle.unitize(p, i)
+    assert bands() == 2
+
+
+@pytest.mark.parametrize("i", [64, 65])
+def test_odd_coefficients_over_many_rows_shift_right_at_the_end(oracle, i):
+    # with every c_j odd the weight drops by one per row, so after 40 rows
+    # e0 < -38 and the low slots t, with 2t + e0 < 0, are scaled back by an
+    # exact right shift; the first row's weight is above e0 by the row count
+    low, size = 20, 40
+    p = XiPoly({j: (-1) ** j * (2 * j + 1) for j in range(low, low + size)})
+    e0 = min(weight(i, low, j, c) for j, c in p.terms())
+    assert e0 < -38 and weight(i, low, low, p.coeff(low)) - e0 == size - 1
+    assert unitize(p, i) == oracle.unitize(p, i)
