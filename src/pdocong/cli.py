@@ -21,7 +21,7 @@ from .padic import check_f_profile
 from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
 # Requests past these limits are refused up front with exit 2, before any table
-# or polynomial is built.  pdo_series(2**17) takes about 3 s and 60 MB; each
+# or polynomial is built.  pdo_series(2**17) takes 3.0-3.5 s and 53 MB; each
 # top tower level costs about 10 times the one below; phi --k 10 and
 # lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.7-3.0 and
 # 1.6-3.0 s cold (24 MB; CPU time of ten cold runs each).  The zeta limit holds for --i and --j alike: the

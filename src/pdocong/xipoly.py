@@ -465,7 +465,11 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring), and each entry costs
     one multiply and one add.  A row with e_j outside [E, E + _BAND) merges
     the live band into running totals held in units of 2^(2t + e0), e0 the
-    least e_j, and opens a new band at E = e_j; the first band opens at e0.
+    least e_j, and opens a new band at E = e_j, or at
+    E = max(e0, e_j - _BAND + 1) for a row below the live band when the
+    weights fall from the first row to the last, so that weights falling one
+    per row (all c_j odd) open one band per _BAND rows; the first band opens
+    at e0.
 
     Exact: every contribution to slot t carries 2^(2t + e_j) and
     e0 <= E <= e_j, so every stored value is an integer, and the final shift
@@ -488,7 +492,14 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     a_star = min(2 * (j + top) + a for j, a, c in zip(count(p.low), floors, p.coeffs) if c)
     # 2 d_min(i, j) - stay_j grows by one per row, so e_j = nu_2(c_j) - j + lift
     lift = p.low - 1 + ((i + p.low) & 1)
-    e0 = band = min((c & -c).bit_length() - 1 - j for j, c in zip(count(p.low), p.coeffs) if c) + lift
+    weights = [(c & -c).bit_length() - 1 - j + lift for j, c in zip(count(p.low), p.coeffs) if c]
+    e0 = band = min(weights)
+    # weights that fall over the rows (one a row when every c_j is odd) open
+    # a band below the live one with the row at its top, so that the next
+    # rows fit; climbing weights (the towers', about two a row) with the row
+    # at its bottom, where a top-anchored band costs the phi_9 step 16 bands
+    # against 11 and lambda_11's 26 against 14
+    falling = weights[-1] < weights[0]
     acc: list[int] = []  # the live band's tails: acc[t] in units of 2^(2t + band)
     heads: list[int] = []  # its heads, each times 3^(2(base + t) - A*)
     tail_total: list[int] = []  # the closed bands, in units of 2^(2t + e0)
@@ -501,7 +512,7 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
             if not band <= e < band + _BAND:
                 _merge(tail_total, acc, band - e0)
                 _merge(head_total, heads, band - e0)
-                band = e
+                band = max(e0, e - _BAND + 1) if falling and e < band else e
             c >>= v
             s, n = low - base, len(row)
             h = min(max(j + top - low, 0), n)

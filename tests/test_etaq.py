@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import pytest
 
@@ -23,6 +24,7 @@ from pdocong.etaq import (
     _PARTITION_GROWTH,
     _UNPACK_CHUNK,
     _lane_width,
+    _log2_decayed,
     _pack,
     _unpack,
     phi_minus_series,
@@ -130,26 +132,92 @@ def _lane_passes(order):
     )
 
 
-@pytest.mark.parametrize("order", LANE_LENGTHS + [32000])
+def _plain_width(values, d, growth):
+    """The width from the numerator's plain sum instead of its lanes' weighted sums."""
+    last = len(_pack(values, d, 1)) - 1  # the last step, padded lanes and all
+    return sum(values).bit_length() + math.ceil(growth * math.sqrt(last) / math.log(2)) + 2
+
+
+# delta's two passes, 12 lanes then 2; the plain-sum widths at 32000 are [209, 768]
+PINNED_WIDTHS = {
+    1: [3, 3],
+    2: [4, 4],
+    11: [6, 15],
+    13: [7, 16],
+    25: [10, 20],
+    1201: [45, 123],
+    8000: [104, 309],
+    32000: [201, 612],
+}
+
+
+@pytest.mark.parametrize("order", LANE_LENGTHS + [1201, 8000, 32000])
 def test_lane_widths_cover_the_last_packed_step(order):
+    # V_r(e^-t) <= V_r(1), so the weighted width is never wider than the plain
+    # one, and with a single step (no t) it is the plain one
     widths = []
     for values, d, _, growth in _lane_passes(order):
-        last = len(_pack(values, d, 1)) - 1  # the last step, padded lanes and all
-        expected = sum(values).bit_length() + math.ceil(growth * math.sqrt(last) / math.log(2)) + 2
-        assert _lane_width(values, d, growth) == expected
-        widths.append(expected)
-    if order == 32000:
-        assert widths == [209, 768]
+        width = _lane_width(values, d, growth)
+        plain = _plain_width(values, d, growth)
+        assert width <= plain
+        if len(values) <= d:
+            assert width == plain
+        widths.append(width)
+    assert widths == PINNED_WIDTHS[order]
+
+
+def _log2_weighted_lanes(values, d, t):
+    """log2 max_r V_r(e^-t) with one term per entry, no blocks."""
+    best = 0.0
+    for r in range(d):
+        logs = [math.log2(v) - m * t / math.log(2) for m, v in enumerate(values[r::d]) if v]
+        if logs:
+            top = max(logs)
+            best = max(best, top + math.log2(sum(2 ** (x - top) for x in logs)))
+    return best
+
+
+@pytest.mark.parametrize("order", [25, 1201, 8000])
+def test_lane_width_block_sums_bound_the_weighted_lanes(order):
+    # each block's sum is weighted at its first step, the largest weight in
+    # it, so the blocked bound is at least the entry-by-entry one
+    for values, d, _, growth in _lane_passes(order):
+        last = len(_pack(values, d, 1)) - 1
+        t = growth / (2 * math.sqrt(last))
+        numerator = _lane_width(values, d, growth) - math.ceil(growth * math.sqrt(last) / math.log(2)) - 2
+        assert numerator >= math.ceil(_log2_weighted_lanes(values, d, t) - 1e-9)
+
+
+def test_log2_decayed_weights_each_block():
+    assert _log2_decayed([8, 0, 4], 1.0) == math.log2(9)
+    assert _log2_decayed([2**2000, 2**2000], 1000.0) == 2000 + math.log2(1 + 2**-1000)
+    assert _log2_decayed([0, 0], 1.0) == 0.0
+
+
+@lru_cache(maxsize=1)
+def _reciprocals():
+    """(p(0..2666), c) and (pbar(0..15999), c): 1/E(q) and 1/phi(-q) with their growth."""
+    p = Series.one(2667).div(euler_series(2667))
+    pbar = Series.one(16000).div(phi_minus_series(16000))
+    return (p, _PARTITION_GROWTH), (pbar, _OVERPARTITION_GROWTH)
 
 
 def test_partition_growth_bounds_hold():
-    # log p(m) <= pi sqrt(2m/3) and log pbar(m) <= pi sqrt(m), the bounds behind the widths
-    p = Series.one(2667).div(euler_series(2667))
-    pbar = Series.one(16000).div(phi_minus_series(16000))
-    for coeffs, growth in ((p, _PARTITION_GROWTH), (pbar, _OVERPARTITION_GROWTH)):
+    # log p(m) <= pi sqrt(2m/3) and log pbar(m) <= pi sqrt(m), the width bound at V_r = 1
+    for coeffs, growth in _reciprocals():
         assert all(c >= 1 for c in coeffs)
         assert all(a <= b for a, b in zip(coeffs, coeffs.coeffs[1:]))
         assert all(math.log(c) <= growth * math.sqrt(m) + 1e-9 for m, c in enumerate(coeffs))
+
+
+@pytest.mark.parametrize("t", [0.025, 0.05, 0.2, 1.0, 3.0])
+def test_reciprocal_generating_functions_obey_the_width_bound(t):
+    # log R(e^-t) <= c^2 / (4t) for R = 1/E(q) and 1/phi(-q), the bound behind
+    # the widths, on prefixes that hold each sum's peak near k = (c / 2t)^2
+    for coeffs, growth in _reciprocals():
+        logs = [math.log(c) - k * t for k, c in enumerate(coeffs)]
+        top = max(logs)
+        assert top + math.log(sum(math.exp(x - top) for x in logs)) <= growth**2 / (4 * t)
 
 
 @pytest.mark.parametrize("order", LANE_LENGTHS + [1201, 8000, 31999, 32000])

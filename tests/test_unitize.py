@@ -534,3 +534,38 @@ def test_odd_coefficients_over_many_rows_shift_right_at_the_end(oracle, i):
     e0 = min(weight(i, low, j, c) for j, c in p.terms())
     assert e0 < -38 and weight(i, low, low, p.coeff(low)) - e0 == size - 1
     assert unitize(p, i) == oracle.unitize(p, i)
+
+
+@pytest.mark.parametrize("size", [200, 400])
+def test_falling_weights_open_one_band_per_band_width(oracle, bands, size):
+    # with every c_j odd the weight drops by one per row: the first row opens
+    # a band at its own weight, and each row below the live band opens the
+    # next with itself at the top, so the walk opens about one band per
+    # _BAND rows rather than one per row
+    low, i = 20, 64
+    p = XiPoly({j: 2 * j + 1 for j in range(low, low + size)})
+    assert unitize(p, i) == oracle.unitize(p, i)
+    assert bands() <= -(-size // xipoly._BAND) + 1
+
+
+@pytest.mark.parametrize("i", [3, 64, 65])
+def test_a_dip_in_climbing_weights_opens_at_the_row(oracle, bands, i):
+    # weights e0, e0 + 100, e0 + 70, e0 + 120 climb from the first row to the
+    # last, so the dip to e0 + 70 opens its band at its own weight, and the
+    # last row still fits in it
+    low = 12
+    e0 = weight(i, low, low, 3)
+    rows = {low: 0, low + 2: 100, low + 3: 70, low + 5: 120}
+    p = XiPoly({j: weighted(i, low, j, e0 + g, 3 + 2 * j) for j, g in rows.items()})
+    assert unitize(p, i) == oracle.unitize(p, i)
+    assert bands() == 2
+
+
+def test_the_top_tower_steps_keep_their_bands(bands):
+    # the towers' weights climb about two a row; anchoring the bands below a
+    # dip at their top would open 16 and 26 here.  Each call adds the bands it
+    # opens plus one, its final merge, to the count
+    for p, opened in ((phi_poly(8), 11), (lambda_poly(10), 14)):
+        start = bands()
+        unitize(p, 256)
+        assert bands() - start == opened + 1
