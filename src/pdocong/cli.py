@@ -24,11 +24,12 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # or polynomial is built.  pdo_series(2**17) takes 3.0-3.5 s and 53 MB; each
 # top tower level costs about 10 times the one below; phi --k 10 and
 # lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.7-3.0 and
-# 1.6-3.0 s cold (24 MB; CPU time of ten cold runs each).  The zeta limit holds for --i and --j alike: the
-# dearest cells at or below it, zeta --i 1535 with a small --j, take 2.1-2.7 s
-# and 51 MB cold (every level of the ladder to (1535, 0), 5.7 MB, stays in
-# the pair cache while the 8.9 MB of text is written), zeta --i 1536
-# --j 1536 1.5-1.8 s and 44 MB (six cold runs each on a shared Xeon core,
+# 1.6-3.0 s cold (CPU time of ten cold runs each), and 19 MB in plain text.
+# The zeta limit holds for --i and --j alike: the dearest cells at or below
+# it, zeta --i 1535 with a small --j, take 1.7-2.7 s and 46 MB cold in plain
+# text (the Kronecker products at the top of the ladder set the peak; every
+# level of the ladder, 5.7 MB, stays in the pair cache), zeta --i 1536
+# --j 1536 1.5-1.8 s and 42 MB (six cold runs each on a shared Xeon core,
 # CPython 3.11), and zeta(2048, 0) took 3.6 s and 77 MB in one cold run.  The
 # limits were set when the dearest of these calls took about 6 s, and are kept.
 # ``expand`` runs |e| sparse passes over each factor E(q^m)^e and is held to
@@ -124,15 +125,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(fmt: str, value, header: list[str], rows, lines) -> str:
-    """The text of a handler's forms in fmt: json dumps value() unless it is
-    already the json text, csv writes header and rows(), plain joins lines().
-    Only fmt's thunk is called."""
+def _render(fmt: str, value, header: list[str], rows, plain):
+    """The text of a handler's forms in fmt, in pieces: json dumps value()
+    unless it is already the json text, csv writes header and rows(), and
+    plain is the pieces plain() gives.  Only fmt's thunk is called."""
     if fmt == "json":
         import json  # each output module loads only in its own branch
 
         value = value()
-        return value if isinstance(value, str) else json.dumps(value)
+        return [value if isinstance(value, str) else json.dumps(value)]
     if fmt == "csv":
         import csv
         import io
@@ -141,12 +142,16 @@ def _render(fmt: str, value, header: list[str], rows, lines) -> str:
         writer = csv.writer(buf)
         writer.writerow(header)
         writer.writerows(rows())
-        return buf.getvalue().rstrip("\n")
-    return "\n".join(lines())
+        return [buf.getvalue().rstrip("\n")]
+    return plain()
 
 
 def _poly_forms(p: XiPoly):
-    return p.to_records, ["degree", "coefficient"], p.terms, lambda: [str(p)]
+    # zeta --i 1535 --j 0 prints 8.9 MB of plain text, streamed one term at a
+    # time; the dearest cells' widest coefficients have under 3000 digits
+    # (2936 there), so no term meets the interpreter's int-to-str limit (4300)
+    # halfway through the output
+    return p.to_records, ["degree", "coefficient"], p.terms, p.str_pieces
 
 
 def _values_forms(values, order: int):
@@ -157,7 +162,7 @@ def _values_forms(values, order: int):
         lambda: '{"order": %d, "values": [%s]}' % (order, ", ".join([f'"{v}"' for v in values])),
         ["n", "value"],
         lambda: enumerate(values),
-        lambda: map(str, values),
+        lambda: ["\n".join(map(str, values))],
     )
 
 
@@ -235,8 +240,11 @@ def _cmd_valuations(args: argparse.Namespace) -> tuple:
         lambda: [r.to_record() for r in reports],
         ["k", "tau", "offset", "valuation"],
         lambda: ([r.k, r.base_degree, m, v] for r in reports for m, v in enumerate(r.vals)),
-        lambda: (f"F_{r.k}  tau={r.base_degree}  nu=[{', '.join(map(str, r.vals))}]  "
-                 f"verdict={r.verdict}" for r in reports),
+        lambda: ["\n".join(
+            f"F_{r.k}  tau={r.base_degree}  nu=[{', '.join(map(str, r.vals))}]  "
+            f"verdict={r.verdict}"
+            for r in reports
+        )],
     )
 
 
@@ -292,7 +300,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple:
         ["description", "modulus", "n_start", "n_stop", "verdict", "counterexample_n"],
         lambda: ([r.spec.describe(), r.spec.modulus, *r.spec.n_range, r.verdict,
                   r.counterexample[0] if r.counterexample else ""] for r in reports),
-        lambda: map(_report_line, reports),
+        lambda: ["\n".join(map(_report_line, reports))],
     )
 
 
@@ -324,20 +332,25 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
         lambda: [r.to_record() for r in results],
         ["lhs_stride", "rhs_stride", "max_exponent", "n_stop"],
         lambda: ([*r.pair, r.exponent, r.n_range[1]] for r in results),
-        lambda: (f"PDO({r.pair[0]}*n) == PDO({r.pair[1]}*n) holds mod 2^{r.exponent} "
-                 f"for n in [0, {r.n_range[1]})" for r in results),
+        lambda: ["\n".join(
+            f"PDO({r.pair[0]}*n) == PDO({r.pair[1]}*n) holds mod 2^{r.exponent} "
+            f"for n in [0, {r.n_range[1]})"
+            for r in results
+        )],
     )
 
 
-# a text stream encodes each write whole, so one write of a large output holds
-# a second, encoded copy of it: zeta --i 1535 --j 0 prints 8.9 MB
+# a text stream encodes each write whole, so one write of a large piece holds
+# a second, encoded copy of it: pdo --max 131071 prints 32 MB in one piece
 _WRITE_CHUNK = 1 << 20
 
 
-def _write_line(handle, text: str) -> None:
-    """text and a newline, written in slices of _WRITE_CHUNK characters."""
-    for start in range(0, len(text), _WRITE_CHUNK):
-        handle.write(text[start : start + _WRITE_CHUNK])
+def _write_line(handle, pieces) -> None:
+    """The pieces and a newline, each piece written in slices of _WRITE_CHUNK
+    characters."""
+    for text in pieces:
+        for start in range(0, len(text), _WRITE_CHUNK):
+            handle.write(text[start : start + _WRITE_CHUNK])
     handle.write("\n")
 
 
@@ -348,19 +361,19 @@ def main(argv=None) -> int:
         if order is not None and order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         code, *forms = args.handler(args)
-        text = _render(args.format, *forms)
+        pieces = _render(args.format, *forms)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                _write_line(handle, text)
+                _write_line(handle, pieces)
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
-    elif text:
-        _write_line(sys.stdout, text)
+    else:
+        _write_line(sys.stdout, pieces)
     return code
 
 

@@ -5,13 +5,14 @@ IEEE infinity: a distinguished non-integer value under which min, comparisons
 and offset addition stay total; never an integer sentinel.
 
 The profile checkers pin the shape each coefficient family has around its
-minimal degree.  For zeta_{i,j} that is one rule for every i, j >= 0: an odd
-leading coefficient, an offset-1 valuation that is exactly 1 when
-i + j == 2 mod 4 and >= 2 otherwise, and valuation >= M+1 from offset M >= 2
-on.  Each checker reads the valuations from its base degree up to the
-degree of the polynomial in one ``profile`` walk; its leading checks, the
-offset floors of ``_offset_failures`` and the report's leading window (at most
-DEFAULT_WINDOW entries) all read that one tuple.  ``ProfileReport`` is a
+minimal degree.  For zeta_{i,j} that is one rule for every i, j >= 0, proven
+by the floor lemma in xipoly's docstring: an odd leading coefficient, an
+offset-1 valuation that is exactly 1 when i + j == 2 mod 4 and >= 2
+otherwise, and valuation >= M+1 from offset M >= 2 on.  Each checker reads
+the valuations from its base degree up to the degree of the polynomial in one
+``profile`` walk; its leading checks, the offset floors of
+``_offset_failures`` and the report's leading window (at most DEFAULT_WINDOW
+entries) all read that one tuple.  ``ProfileReport`` is a
 frozen record (``_record.Record``); it stores its ``failures`` only, and
 ``passed`` and ``verdict`` are read from them.
 """
@@ -82,11 +83,9 @@ class ProfileReport(Record):
 
     @property
     def basis(self) -> str:
-        """What the checked shape rests on: "paper" for F and for the Z cells
-        the paper claims (j < 2, or i a power of two >= 4), else "measured rule"."""
-        if self.family == "F" or self.j < 2 or (self.i > 2 and not self.i & (self.i - 1)):
-            return "paper"
-        return "measured rule"
+        """What the checked shape rests on: "paper" for F, and "proven" for
+        every Z cell (the floor lemma in xipoly's docstring)."""
+        return "paper" if self.family == "F" else "proven"
 
     def to_record(self) -> dict:
         record = {"family": self.family}
@@ -118,10 +117,9 @@ def check_z_profile(i: int, j: int) -> ProfileReport:
     """Check the valuation profile of zeta_{i,j}, for any i, j >= 0.
 
     The offset-1 slot is sharp, valuation exactly 1, when i + j == 2 mod 4 and
-    >= 2 otherwise.  The paper's induction claims this shape for j in {0, 1}
-    and for i a power of two >= 4, and the report's ``basis`` is "paper"
-    there; every other cell has ``basis`` "measured rule", and a fail there
-    refutes the rule, not the paper.
+    >= 2 otherwise.  The floor lemma in xipoly's docstring proves this shape
+    for every cell, so the report's ``basis`` is "proven", and a fail refutes
+    the lemma or the code that built zeta_{i,j}.
     """
     p = zeta(i, j)
     d = d_min(i, j)

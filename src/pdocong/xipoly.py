@@ -30,20 +30,49 @@ built the same way down to the initial table, so no recurrence runs through
 every smaller i or through the rows below j0.  From one tower level to the
 next i doubles and the lowest degree about doubles (427 = 2 * 214 - 1), so
 the start row doubles too (416 = 2 * 208) and the ladder finds the pair below
-cached: from phi_6 and lambda_8 on, each level's pair is one step.  The walk
-runs on the rows' 2-adic and 3-adic floors.  zeta_{i,j} starts at d_min(i, j) with an odd
-coefficient, and is a stay row when d_min(i, j+1) = d_min(i, j); stay rows
-and other rows alternate.  Its coefficient at offset M above d_min(i, j) is
-divisible by 2^f(M), with f(M) = 2M on a stay row and f(0) = 0,
-f(M) = 2M - 1 on any other row, and its coefficient of xi^D by 9^(T_j - D)
-below T_j = j + floor(5i/2), the row's 3-adic top.  The walk stores each
-entry divided by both floors; the entries below T_j are the row's head.  On
-the rows of the phi_9 step the powers of 2 are 29% of the bits and the
-powers of 3 another 38% of what is left.  The recurrence maps floored rows
-to floored rows with small integer coefficients (_next_row): in the head a
-factor 9 moves from a term of row j-1 to a term of row j, so the walk never
-divides; the one division is the checked one that floors the pair, which
-raises ArithmeticError naming the offset if a floor fails.
+cached: from phi_6 and lambda_8 on, each level's pair is one step.
+
+The walk runs on the rows' 2-adic and 3-adic floors.  With n = 5i + j, the
+row zeta_{i,j} starts at d_min(i, j) = (n + 1) // 2, it is a stay row,
+d_min(i, j+1) = d_min(i, j), iff n is odd (so stay rows and other rows
+alternate, and 2 d_min(i, j) - stay = n), and its 3-adic top is
+T = j + floor(5i/2), whose head T - d_min(i, j) is (j - (i & 1)) // 2.
+
+Floor lemma.  For all i, j >= 0, zeta_{i,j} vanishes below d_min(i, j) and is
+odd there; its coefficient at offset M above d_min(i, j) is divisible by
+2^f(M), with f(0) = 0 and f(M) = 2M - 1 + stay for M >= 1, and its
+coefficient of xi^D by 9^max(0, T - D); on a row that is not a stay row the
+offset-1 coefficient carries 2^1 exactly iff i + j == 2 mod 4 (the Z-profile
+rule in padic; on a stay row f(1) = 2 already).  Proof: the four cells
+i, j <= 1 of zeta_initial satisfy it, and every other cell is a sum of
+monomial multiples c xi^s of cells before it,
+
+    in i (j <= 1):  zeta_{i+2,j} = 2 zeta_{1,0} zeta_{i+1,j} - xi^5 zeta_{i,j},
+    in j (j >= 2):  zeta_{i,j} = (10 xi - 8 xi^2) zeta_{i,j-1} - (9 xi - 8 xi^2) zeta_{i,j-2},
+
+the doubling identity at c = 1, d = 0, with 2 zeta_{1,0} = 10 xi^3 - 40 xi^4
++ 32 xi^5, and the sigma recurrence.  A term takes offset M of its source to
+offset M + s + d_min(source) - d_min(target), never below 0, and keeps both
+floors term by term: nu_2(c) + f_source(M) is at least f_target at that
+offset, both sides growing by 2 per step of M from M = 1 on, and
+nu_3(c) >= 2 (T_target - T_source - s) wherever that is positive (the one
+such term is -9 xi, from row j-2).  Mod 2 only the terms that meet a floor
+exactly count: the target's offset-0 entry is an odd entry times -1 or -9,
+plus an even term, so it is odd, and on a row that is not a stay row its
+floored offset-1 entry is 1 plus the floored offset-1 entry of the cell two
+steps back, with i + j two less, which is not a stay row either: it flips as
+i + j == 2 mod 4 does.
+Every quantity in these cases depends on (i, j) only through i mod 4 and
+j mod 4, so finitely many cases decide every cell (tests/test_floor_lemma.py
+runs each, and both recurrences on exact rows).
+
+The walk stores each entry divided by both floors; the entries below T are
+the row's head.  On the rows of the phi_9 step the powers of 2 are 29% of the
+bits and the powers of 3 another 38% of what is left.  The recurrence maps
+floored rows to floored rows with small integer coefficients (_next_row): in
+the head a factor 9 moves from a term of row j-1 to a term of row j, so the
+walk never divides; the one division is the checked one that floors the
+pair, which raises ArithmeticError naming the offset if a floor fails.
 
 unitize adds c_j times row j into accumulators kept in 4-adic slot
 coordinates: slot t, the coefficient of xi^(d_min(i, p.low) + t), is held in
@@ -226,15 +255,20 @@ class XiPoly:
         return f"XiPoly({dict(self.terms())!r})"
 
     def __str__(self) -> str:
+        return "".join(self.str_pieces())
+
+    def str_pieces(self) -> Iterator[str]:
+        """The text of str(self), one piece per term, so that a large
+        polynomial can be written out without its whole text in memory."""
         if not self.coeffs:
-            return "0"
-        parts = []
+            yield "0"
+        sep = ""
         for deg, coeff in self.terms():
             mag = str(abs(coeff)) if deg == 0 else (
                 f"{abs(coeff)}*" if abs(coeff) != 1 else ""
             ) + (f"xi^{deg}" if deg > 1 else "xi")
-            parts.append(("- " if coeff < 0 else "+ " if parts else "") + mag)
-        return " ".join(parts)
+            yield sep + ("- " if coeff < 0 else "+ " if sep else "") + mag
+            sep = " "
 
 
 ZERO = XiPoly()
@@ -254,29 +288,20 @@ def zeta_initial() -> dict[tuple[int, int], XiPoly]:
 
 
 def d_min(i: int, j: int) -> int:
-    """Minimal xi-degree of zeta_{i,j}: the coefficient there is an odd integer.
-
-    Writing i = 2I+r and j = 2J+s: 5I+J for (r,s)=(0,0), 5I+J+1 for (0,1),
-    and 5I+J+3 when i is odd.
-    """
+    """Minimal xi-degree of zeta_{i,j}, ceil((5i + j)/2), where the coefficient
+    is odd (the floor lemma, module docstring)."""
     if i < 0 or j < 0:
         raise ValueError(f"indices must be nonnegative, got ({i}, {j})")
-    big_i, r = divmod(i, 2)
-    big_j, s = divmod(j, 2)
-    base = 5 * big_i + big_j
-    if r == 1:
-        return base + 3
-    return base + s
+    return (5 * i + j + 1) // 2
 
 
 def _floored(row: XiPoly, base: int, stay: bool, head: int) -> list[int]:
     """The coefficients of row at offsets M = 0, 1, ... above base, each divided
-    by 2^f(M) * 9^max(0, head - M).
+    by its floors 2^f(M) * 9^max(0, head - M) (the floor lemma, module
+    docstring; ``head`` is T - base).
 
-    f(M) = 2M on a stay row; f(0) = 0 and f(M) = 2M - 1 on any other row.
-    ``head`` is T - base for the row's 3-adic top T = j + floor(5i/2), so the
-    entries M < head carry the 3-floor.  Raises ArithmeticError naming the
-    offset if a coefficient sits below base or is not divisible by either floor.
+    A guard on the lemma: raises ArithmeticError naming the offset if a
+    coefficient sits below base or is not divisible by either floor.
     """
     if row.coeffs and row.low < base:
         raise ArithmeticError(f"offset {row.low - base}: nonzero coefficient below base degree {base}")
@@ -341,11 +366,9 @@ def _next_row(alpha: list[int], beta: list[int], stay: bool, head: int) -> list[
 def _floored_rows(i: int, j: int) -> Iterator[tuple[int, bool, list[int]]]:
     """(d_min, stay, floored row) for zeta_{i,j}, zeta_{i,j+1}, ..., built on
     demand from the ladder's pair at (i, j)."""
-    # zeta_{i,j} is a stay row, d_min(i, j+1) = d_min(i, j), for odd j at even i
-    # and even j at odd i; its head, j + floor(5i/2) - d_min(i, j), grows by one
-    # after each stay row
-    base, stay = d_min(i, j), (i + j) & 1 == 1
-    head = j + 5 * i // 2 - base
+    # the row geometry of the module docstring; the head grows by one after
+    # each stay row
+    base, stay, head = d_min(i, j), (5 * i + j) & 1 == 1, (j - (i & 1)) // 2
     first, second = _pair(i, j)
     beta = _floored(first, base, stay, head)
     yield base, stay, beta
@@ -457,9 +480,11 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     two rows live.  Slot t of each accumulator is the coefficient of
     xi^(base + t), base = d_min(i, p.low), held in units of 2^(2t + E) for
     the live band's base E: entry M of row j lands in slot t = s_j + M,
-    s_j = d_min(i, j) - base, and carries 2^(nu_2(c_j) + f(M)) =
-    2^(2t + e_j) with e_j = nu_2(c_j) - 1 + stay_j - 2 s_j, or twice that at
-    entry 0 of a row that is not a stay row (f(0) = 0, not 2*0 - 1).  So
+    s_j = d_min(i, j) - base, and by the floor lemma carries
+    2^(nu_2(c_j) + f(M)) = 2^(2t + e_j) with e_j = nu_2(c_j) - 1 + stay_j
+    - 2 s_j = nu_2(c_j) - j + 2 base - 1 - 5i (as 2 d_min(i, j) - stay_j =
+    5i + j), or twice that at entry 0 of a row that is not a stay row
+    (f(0) = 0, not 2*0 - 1).  So
     the whole row takes one multiplier, c * 2^(e_j - E) past the head and
     m_j * 2^(e_j - E) in it, with c the odd part of c_j and
     m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring), and each entry costs
@@ -490,8 +515,8 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     tower_floors = count(5 * i - 2 * p.low, -2)
     floors = [a if a > 0 and not c % 3**a else 0 for a, c in zip(tower_floors, p.coeffs)]
     a_star = min(2 * (j + top) + a for j, a, c in zip(count(p.low), floors, p.coeffs) if c)
-    # 2 d_min(i, j) - stay_j grows by one per row, so e_j = nu_2(c_j) - j + lift
-    lift = p.low - 1 + ((i + p.low) & 1)
+    # e_j = nu_2(c_j) - j + lift
+    lift = 2 * base - 1 - 5 * i
     weights = [(c & -c).bit_length() - 1 - j + lift for j, c in zip(count(p.low), p.coeffs) if c]
     e0 = band = min(weights)
     # weights that fall over the rows (one a row when every c_j is odd) open

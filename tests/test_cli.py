@@ -282,9 +282,9 @@ def test_out_file(tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
 def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, monkeypatch, fmt):
     # the text goes out in slices of _WRITE_CHUNK characters; with slices of
-    # 7 the bytes on stdout and in --out are the one-piece text and a newline
+    # 7 the bytes on stdout and in --out are the joined text and a newline
     argv = ["phi", "--k", "4", "--format", fmt]
-    whole = cli._render(fmt, *cli._cmd_phi(_build_parser().parse_args(argv))[1:]) + "\n"
+    whole = "".join(cli._render(fmt, *cli._cmd_phi(_build_parser().parse_args(argv))[1:])) + "\n"
     assert len(whole) > 7 * 3
     monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
     code, out, _ = run_cli(capsys, *argv)
@@ -657,13 +657,14 @@ def _refuse(what):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_only_the_asked_format_is_built(monkeypatch, capsys, fmt):
-    # json is dumped only for json, csv written only for csv, str(p) only for plain;
-    # the cli imports each writer in its own branch, so the modules are patched
+    # json is dumped only for json, csv written only for csv, a polynomial's
+    # text (str_pieces, which str(p) joins) only for plain; the cli imports
+    # each writer in its own branch, so the modules are patched
     if fmt != "json":
         monkeypatch.setattr(json, "dumps", _refuse("json.dumps"))
     if fmt != "csv":
         monkeypatch.setattr(csv, "writer", _refuse("csv.writer"))
     if fmt != "plain":
-        monkeypatch.setattr(XiPoly, "__str__", _refuse("XiPoly.__str__"))
+        monkeypatch.setattr(XiPoly, "str_pieces", _refuse("XiPoly.str_pieces"))
     for call, digests in GOLDEN.items():
         assert _golden_digest(capsys, call, fmt) == digests[FORMATS.index(fmt)], call
