@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from math import isqrt
 
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
@@ -43,7 +44,7 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # The price counts terms, not digits, so the dearest accepted
 # calls are specs whose coefficients grow fast: 1^-6 at order 85848 takes
 # 17-19 s and 175 MB, 1^-24 at 32768 16 s and 93 MB, 1^-48 at 16384 11 s and
-# 53 MB, against 8 s and 105 MB for delta at the order limit.
+# 53 MB, against 8 s and 45 MB for delta at the order limit.
 # ``verify --family pair`` builds the modulus 2**mod_exp, so --mod-exp is held
 # to MAX_MOD_EXP.  PDO(n) < 2^1208 for every n below MAX_ORDER, so any exponent
 # from 1208 on already asks for equality, and 2^4096 has 1234 decimal digits,
@@ -127,13 +128,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render(fmt: str, value, header: list[str], rows, plain):
     """The text of a handler's forms in fmt, in pieces: json dumps value()
-    unless it is already the json text, csv writes header and rows(), and
-    plain is the pieces plain() gives.  Only fmt's thunk is called."""
+    unless that is already an iterator over the json text's pieces, csv
+    writes header and rows(), and plain is the pieces plain() gives.  Only
+    fmt's thunk is called."""
     if fmt == "json":
         import json  # each output module loads only in its own branch
 
         value = value()
-        return [value if isinstance(value, str) else json.dumps(value)]
+        return value if isinstance(value, Iterator) else [json.dumps(value)]
     if fmt == "csv":
         import csv
         import io
@@ -146,23 +148,50 @@ def _render(fmt: str, value, header: list[str], rows, plain):
     return plain()
 
 
+def _poly_json(p: XiPoly) -> Iterator[str]:
+    """Byte for byte json.dumps(p.to_records()), one record per piece."""
+    yield "["
+    sep = ""
+    for deg, coeff in p.terms():
+        yield f'{sep}{{"degree": {deg}, "coefficient": "{coeff}"}}'
+        sep = ", "
+    yield "]"
+
+
 def _poly_forms(p: XiPoly):
-    # zeta --i 1535 --j 0 prints 8.9 MB of plain text, streamed one term at a
-    # time; the dearest cells' widest coefficients have under 3000 digits
-    # (2936 there), so no term meets the interpreter's int-to-str limit (4300)
-    # halfway through the output
-    return p.to_records, ["degree", "coefficient"], p.terms, p.str_pieces
+    # zeta --i 1535 --j 0 prints 8.9 MB of plain text (9.0 MB of json),
+    # streamed one term at a time; the dearest cells' widest coefficients have
+    # under 3000 digits (2936 there), so no term meets the interpreter's
+    # int-to-str limit (4300) halfway through the output
+    return lambda: _poly_json(p), ["degree", "coefficient"], p.terms, p.str_pieces
+
+
+# _values_forms formats this many values per piece of output
+_VALUES_CHUNK = 4096
 
 
 def _values_forms(values, order: int):
-    # the json text, byte for byte json.dumps({"order": order, "values":
-    # [str(v), ...]}), comes from one join over the values: json.dumps would
-    # hold the strings and its quoted copies, about twice the output
+    # the json text is byte for byte json.dumps({"order": order, "values":
+    # [str(v), ...]}); both texts go out _VALUES_CHUNK values at a time, so
+    # pdo --max 131071 never holds its 32 MB of text beside the table.  No
+    # value meets the int-to-str limit (4300) halfway through the output:
+    # PDO(n) < 2^1208 below MAX_ORDER, and every factor E(q^m)^e is majorized
+    # coefficientwise by 1/E(q)^|e|, so by the saddle-point step of the etaq
+    # module docstring an accepted expand's coefficients are below
+    # exp(pi sqrt(2/3 * order * sum |e|)) <= exp(pi sqrt(4 * MAX_ORDER)),
+    # under 1000 digits
+    def pieces(head: str, form, sep: str, tail: str) -> Iterator[str]:
+        yield head
+        for start in range(0, len(values), _VALUES_CHUNK):
+            chunk = values[start : start + _VALUES_CHUNK]
+            yield (sep if start else "") + sep.join(map(form, chunk))
+        yield tail
+
     return (
-        lambda: '{"order": %d, "values": [%s]}' % (order, ", ".join([f'"{v}"' for v in values])),
+        lambda: pieces('{"order": %d, "values": [' % order, '"{}"'.format, ", ", "]}"),
         ["n", "value"],
         lambda: enumerate(values),
-        lambda: ["\n".join(map(str, values))],
+        lambda: pieces("", str, "\n", ""),
     )
 
 

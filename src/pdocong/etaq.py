@@ -27,9 +27,9 @@ two sparse divisions remain, u = theta / E(q^12) first and delta = u / phi(-q^2)
 second.  1/E(q^12) = sum p(m) q^(12m) grows slowest, so the pass with E(q^12)
 runs on values of at most a few hundred bits instead of the table's full size.
 ``expand`` is the generic eta-quotient route; it serves arbitrary specs and is
-the independent second route for delta and kappa.  The module also expands the
-companion functions gamma, xi and kappa used by the polynomial tower, and
-provides a brute-force combinatorial oracle for PDO(n).
+the independent second route for delta, gamma and kappa.  The module also
+expands the companion functions gamma, xi and kappa used by the polynomial
+tower, and provides a brute-force combinatorial oracle for PDO(n).
 
 Both divisors are series in q^d (d = 12, then 2), so the d residue classes of
 the exponent mod d are d independent recurrences.  Each pass packs the d
@@ -79,11 +79,18 @@ rounding of the floating-point logarithms.  At order 32000 the widths are
 201 and 612 bits, against 209 and 768 from the plain sum; the table's
 largest entry has 591.
 
-kappa(q) = gamma(q^2)^2 / gamma(q) is the eta quotient
+gamma(q) = E(q)^5 E(q^2)^5 E(q^6)^5 / E(q^3)^15 has exponents that are all
+multiples of five, so it is the fifth power of
+
+    G(q) = E(q) E(q^2) E(q^6) / E(q^3)^3.
+
+``gamma_series`` expands G with six sparse eta passes and takes its fifth
+power with three dense products, where ``expand(GAMMA, order)`` makes 30
+passes.  kappa(q) = gamma(q^2)^2 / gamma(q) is the eta quotient
 
     kappa(q) = E(q^2)^5 E(q^3)^15 E(q^4)^10 E(q^12)^10 / (E(q)^5 E(q^6)^35),
 
-whose exponents are all multiples of five.  It is the fifth power of
+whose exponents are all multiples of five too.  It is the fifth power of
 
     T(q) = psi(q) psi(q^2) psi(q^6) / psi(q^3)^3
          = E(q^2) E(q^3)^3 E(q^4)^2 E(q^12)^2 / (E(q) E(q^6)^7),
@@ -100,14 +107,13 @@ divides only by sparse Euler and theta factors.
 
 ``EtaQuotientSpec`` and ``PdoTable`` are frozen records (``_record.Record``).
 A spec canonicalizes its factors on construction, so two specs built from the
-same factors in any order are equal, hash alike and share one ``expand``
-cache entry.
+same factors in any order are equal and hash alike.  Nothing in this module
+is memoized: every call builds its series afresh.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain, count, repeat
 from operator import add, lshift
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,13 +164,15 @@ class EtaQuotientSpec(Record):
 
 
 # The four named quotients of the tower.  kappa(q) = gamma(q^2)^2 / gamma(q)
-# is itself the eta quotient KAPPA below; kappa_series builds it as a psi
-# quotient to the fifth power, and the tests check it against expand(KAPPA)
-# and the defining quotient.
+# is itself the eta quotient KAPPA below.  gamma_series and kappa_series build
+# gamma and kappa as fifth powers (of _GAMMA_ROOT and of a psi quotient), and
+# the tests check them against expand(GAMMA), expand(KAPPA) and kappa's
+# defining quotient.
 DELTA = EtaQuotientSpec(((4, 1), (6, 2), (1, -1), (3, -1), (12, -1)))
 GAMMA = EtaQuotientSpec(((1, 5), (2, 5), (6, 5), (3, -15)))
 XI = EtaQuotientSpec(((2, 5), (6, 1), (1, -1), (3, -5)))
 KAPPA = EtaQuotientSpec(((1, -5), (2, 5), (3, 15), (4, 10), (6, -35), (12, 10)))
+_GAMMA_ROOT = EtaQuotientSpec(((1, 1), (2, 1), (6, 1), (3, -3)))
 
 NAMED_SPECS = {"delta": DELTA, "gamma": GAMMA, "xi": XI, "kappa": KAPPA}
 
@@ -230,10 +238,6 @@ def phi_minus_series(order: int, m: int = 1) -> Series:
     return _sparse(order, m, chain([(0, 1)], tail))
 
 
-# The expansion cache is bounded: a computation reuses a handful of entries
-# (the xi and kappa cross-checks need them at two orders).  Without a bound a
-# long-running process would keep every expansion it ever made alive.
-@lru_cache(maxsize=4)
 def expand(spec: EtaQuotientSpec, order: int) -> Series:
     """Expand an eta quotient to the requested order, exactly.
 
@@ -387,7 +391,12 @@ def delta_series(order: int) -> Series:
 
 
 def gamma_series(order: int) -> Series:
-    return expand(GAMMA, order)
+    """gamma(q) = (E(q) E(q^2) E(q^6) / E(q^3)^3)^5.
+
+    Equal to ``expand(GAMMA, order)``; see the module docstring.  Nothing is
+    memoized: each call builds its series afresh.
+    """
+    return expand(_GAMMA_ROOT, order) ** 5
 
 
 def xi_series(order: int) -> Series:

@@ -648,7 +648,10 @@ def _xi_power(order: int, degree: int) -> Series:
     positive power it passes; the least recently used ones beyond 32 are
     dropped.  An even degree is the square of the half when that is still
     kept, since the Kronecker kernel packs a square once and libmpdec squares
-    faster than it multiplies two operands; otherwise it is power * xi.
+    faster than it multiplies two operands; otherwise it is power * xi, with
+    xi the kept power of degree 1, expanded afresh only when that is gone.
+    Reading xi marks it as used, so a walk up the degrees at one order keeps
+    it past the 32 powers it passes.
     """
     with _XI_POWERS_LOCK:
         power = _XI_POWERS.get((order, degree))
@@ -657,7 +660,11 @@ def _xi_power(order: int, degree: int) -> Series:
             return power
         start = max((d for o, d in _XI_POWERS if o == order and d < degree), default=0)
         power = _XI_POWERS[order, start] if start else Series.one(order)
-        xi = xi_series(order)
+        xi = _XI_POWERS.get((order, 1))
+        if xi is None:
+            xi = xi_series(order)
+        else:
+            _XI_POWERS.move_to_end((order, 1))
         for d in range(start + 1, degree + 1):
             half = _XI_POWERS.get((order, d // 2)) if d % 2 == 0 else None
             power = half * half if half is not None else power * xi

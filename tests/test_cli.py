@@ -44,6 +44,24 @@ def test_pdo_json(capsys):
     assert payload["values"] == ["1", "1", "2", "4", "5", "8", "12"]
 
 
+@pytest.mark.parametrize("max_n", [0, 2, 3, 6, 7, 20])
+def test_values_written_in_pieces_are_the_joined_text(capsys, monkeypatch, max_n):
+    # pieces of 3 values: one piece, a full last piece and a short last piece
+    # all give json.dumps' bytes and the plain lines
+    monkeypatch.setattr(cli, "_VALUES_CHUNK", 3)
+    values = pdo_series(max_n + 1).values
+    strings = [str(v) for v in values]
+    payload = {"order": max_n + 1, "values": strings}
+    for fmt, want in (("json", json.dumps(payload)), ("plain", "\n".join(strings))):
+        code, out, _ = run_cli(capsys, "pdo", "--max", str(max_n), "--format", fmt)
+        assert (code, out) == (0, want + "\n")
+
+
+@pytest.mark.parametrize("p", [XiPoly(), XiPoly({0: -7}), XiPoly({3: 5, 4: -20, 5: 16}), zeta(37, 100)])
+def test_poly_json_pieces_are_json_dumps_of_the_records(p):
+    assert "".join(cli._poly_json(p)) == json.dumps(p.to_records())
+
+
 def test_pdo_csv(capsys):
     code, out, _ = run_cli(capsys, "pdo", "--max", "2", "--format", "csv")
     assert code == 0

@@ -285,7 +285,6 @@ def test_expansions_divide_only_by_sparse_factors(monkeypatch):
         return div(self, other)
 
     monkeypatch.setattr(Series, "div", spy)
-    expand.cache_clear()
     kappa_series(1200)
     pdo_series(8000)
     expand(XI, 1200)
@@ -346,17 +345,22 @@ def test_pdo_even_slice_is_delta_squared():
         assert table[2 * n] == square.coeff(n)
 
 
-def test_expansion_caches_are_bounded():
-    expand.cache_clear()
-    for order in range(100, 1300, 100):
-        expand(XI, order)
-    kappa_series(40)
-    kappa_series(50)
-    info = expand.cache_info()
-    assert info.maxsize == 4 and info.currsize == 4
-    # expand is the only memo: E(q) and kappa are rebuilt on every call
-    assert not hasattr(euler_series, "cache_info")
-    assert not hasattr(kappa_series, "cache_info")
+def test_etaq_series_functions_keep_no_memo():
+    # every expansion is rebuilt on every call: equal, but a new object
+    functions = (
+        expand, euler_series, psi_series, phi_minus_series, delta_series,
+        gamma_series, xi_series, kappa_series, pdo_series,
+    )
+    for function in functions:
+        assert not hasattr(function, "cache_info"), function.__name__
+    assert expand(XI, 40) == expand(XI, 40) and expand(XI, 40) is not expand(XI, 40)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 600, 1201])
+def test_gamma_fifth_root_route_matches_expand(order):
+    # gamma as the fifth power of E(q) E(q^2) E(q^6) / E(q^3)^3 against the
+    # generic route's 30 eta passes
+    assert gamma_series(order) == expand(GAMMA, order)
 
 
 def test_spec_text_round_trip():

@@ -437,6 +437,28 @@ def test_xi_power_cache_is_bounded():
     assert xipoly._XI_POWERS_MAXSIZE == 32 and len(xipoly._XI_POWERS) == 32
 
 
+def test_xi_powers_expand_xi_once_per_order(monkeypatch):
+    # every miss after the first multiplies by the kept power of degree 1,
+    # which stays kept past the 32 powers the walk passes
+    calls = []
+
+    def spy(order):
+        calls.append(order)
+        return xi_series(order)
+
+    monkeypatch.setattr(xipoly, "xi_series", spy)
+    xipoly._XI_POWERS.clear()
+    order = 97
+    x = xi_series(order)
+    for degree in range(1, 22):
+        assert poly_to_series(XiPoly({degree: 1}), order) == x**degree
+    assert calls == [order]
+    assert poly_to_series(XiPoly({d: 1 for d in range(22, 61)}), order) == sum(
+        (x**d for d in range(22, 61)), Series.zero(order)
+    )
+    assert calls == [order]
+
+
 @pytest.mark.parametrize("degree", [1200, 3000])
 def test_xi_power_of_high_degree_on_a_cold_cache(degree):
     # the powers are filled by a loop, not one recursive call per degree
