@@ -3,10 +3,13 @@ congruence verification and scanning, with plain/json/csv output.
 
 Each subcommand binds its handler with ``set_defaults``.  A handler reads the
 parsed ``argparse.Namespace``, computes its result and returns its exit status
-and the result's forms; one formatter, ``_render``, builds only the form that
-``--format`` names.  Each call is a cold process, so start-up counts: importing
-this module loads the package and argparse, none of the heavier standard
-modules; ``json`` and ``csv`` load only when their format is asked for.
+and the result's forms; one writer, ``_write``, writes only the form that
+``--format`` names, piece by piece, straight to stdout or the ``--out`` file:
+a polynomial one term at a time, a table of values 512 values at a time, csv
+one row at a time.  Each call is a cold process, so start-up counts:
+importing this module loads the package and argparse, none of the heavier
+standard modules; ``json`` and ``csv`` load only when their format is asked
+for.
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ from .padic import check_f_profile
 from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 
 # Requests past these limits are refused up front with exit 2, before any table
-# or polynomial is built.  pdo_series(2**17) takes 3.0-3.5 s and 53 MB; each
-# top tower level costs about 10 times the one below; phi --k 10 and
-# lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.7-3.0 and
+# or polynomial is built.  pdo_series(2**17) takes 1.6-1.8 s and 44 MB in one
+# process (a cold pdo --max 131071 1.9-3.1 s of CPU and 43 MB in every
+# format); each top tower level costs about 10 times the one below; phi --k 10
+# and lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.7-3.0 and
 # 1.6-3.0 s cold (CPU time of ten cold runs each), and 19 MB in plain text.
 # The zeta limit holds for --i and --j alike: the dearest cells at or below
-# it, zeta --i 1535 with a small --j, take 1.7-2.7 s and 46 MB cold in plain
-# text (the Kronecker products at the top of the ladder set the peak; every
+# it, zeta --i 1535 with a small --j, take 1.7-2.7 s and 46 MB cold in every
+# format (the Kronecker products at the top of the ladder set the peak; every
 # level of the ladder, 5.7 MB, stays in the pair cache), zeta --i 1536
 # --j 1536 1.5-1.8 s and 42 MB (six cold runs each on a shared Xeon core,
 # CPython 3.11), and zeta(2048, 0) took 3.6 s and 77 MB in one cold run.  The
@@ -126,26 +130,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(fmt: str, value, header: list[str], rows, plain):
-    """The text of a handler's forms in fmt, in pieces: json dumps value()
-    unless that is already an iterator over the json text's pieces, csv
-    writes header and rows(), and plain is the pieces plain() gives.  Only
-    fmt's thunk is called."""
-    if fmt == "json":
-        import json  # each output module loads only in its own branch
-
-        value = value()
-        return value if isinstance(value, Iterator) else [json.dumps(value)]
+def _write(handle, fmt: str, value, header: list[str], rows, plain) -> None:
+    """Write a handler's form in fmt to handle: json dumps value() unless that
+    is already an iterator over the json text's pieces, csv writes header and
+    rows(), and plain writes the pieces plain() gives; a newline ends json and
+    plain, and csv rows end in their own.  Only fmt's thunk is called, and no
+    form is built whole before it is written: each piece is one term, one
+    block of report lines or _VALUES_CHUNK values."""
     if fmt == "csv":
-        import csv
-        import io
+        import csv  # each output module loads only in its own branch
 
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows())
-        return [buf.getvalue().rstrip("\n")]
-    return plain()
+        return
+    if fmt == "json":
+        import json
+
+        value = value()
+        if isinstance(value, Iterator):
+            handle.writelines(value)
+        else:
+            json.dump(value, handle)
+    else:
+        handle.writelines(plain())
+    handle.write("\n")
 
 
 def _poly_json(p: XiPoly) -> Iterator[str]:
@@ -167,7 +176,7 @@ def _poly_forms(p: XiPoly):
 
 
 # _values_forms formats this many values per piece of output
-_VALUES_CHUNK = 4096
+_VALUES_CHUNK = 512
 
 
 def _values_forms(values, order: int):
@@ -369,20 +378,6 @@ def _cmd_scan(args: argparse.Namespace) -> tuple:
     )
 
 
-# a text stream encodes each write whole, so one write of a large piece holds
-# a second, encoded copy of it: pdo --max 131071 prints 32 MB in one piece
-_WRITE_CHUNK = 1 << 20
-
-
-def _write_line(handle, pieces) -> None:
-    """The pieces and a newline, each piece written in slices of _WRITE_CHUNK
-    characters."""
-    for text in pieces:
-        for start in range(0, len(text), _WRITE_CHUNK):
-            handle.write(text[start : start + _WRITE_CHUNK])
-    handle.write("\n")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -390,19 +385,18 @@ def main(argv=None) -> int:
         if order is not None and order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         code, *forms = args.handler(args)
-        pieces = _render(args.format, *forms)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
-                _write_line(handle, pieces)
+                _write(handle, args.format, *forms)
         except OSError as exc:
             print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        _write_line(sys.stdout, pieces)
+        _write(sys.stdout, args.format, *forms)
     return code
 
 

@@ -34,11 +34,12 @@ tower, and provides a brute-force combinatorial oracle for PDO(n).
 Both divisors are series in q^d (d = 12, then 2), so the d residue classes of
 the exponent mod d are d independent recurrences.  Each pass packs the d
 coefficients of step s, values[s d + r] for 0 <= r < d, into one integer with
-lane r at bits r W .. (r + 1) W, divides the packed sequence by the undilated
-divisor (E(q), then phi(-q)) with the plain ``Series.div`` and cuts the
+lane r at bits r W .. (r + 1) W, a chunk of steps at a time as the division
+by the undilated divisor (E(q), then phi(-q)) reads them, and cuts the
 quotient back into lanes, one lane of a chunk of steps at a time into its
-slice of the output.  The last step's lanes past the order are padded
-with zeros.  This is exact: packing is additive and ``Series.div`` forms only
+slice of the output.  The division is the loop of the plain ``Series.div``,
+``series._divide``.  The last step's lanes past the order are padded
+with zeros.  This is exact: packing is additive and the division forms only
 integer combinations of its entries, so the packed quotient is
 sum_r 2^(r W) q_r, with q_r the true quotient of lane r, and masking returns
 each q_r as long as every one of them, padded lanes included, lies in
@@ -119,7 +120,7 @@ from operator import add, lshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
-from .series import Series
+from .series import Series, _divide
 
 ORACLE_BOUND = 60
 
@@ -322,7 +323,7 @@ def _pack(values: Sequence[int], d: int, width: int) -> list[int]:
     return packed
 
 
-# _unpack cuts this many packed steps at a time from the end of the sequence
+# _lane_quotient packs, and _unpack cuts, this many steps at a time
 _UNPACK_CHUNK = 2048
 
 
@@ -359,14 +360,22 @@ def _lane_quotient(
     coefficients of a series whose reciprocal R has nonnegative coefficients
     and log R(e^-t) <= growth^2 / (4t) for t > 0.  The d residue classes mod d
     are independent recurrences, so they run as the d lanes of one packed
-    sequence through ``Series.div`` against the undilated divisor.
+    sequence through ``_divide`` against the undilated divisor.  The steps
+    are packed _UNPACK_CHUNK at a time, taken off the front of ``values`` as
+    the division reads them, so the numerator is held once, in one form or
+    the other, beside the quotient.
     """
     order = len(values)
     width = _lane_width(values, d, growth)
-    packed = _pack(values, d, width)
-    values.clear()
-    packed = list(Series(packed).div(divisor(len(packed))).coeffs)
-    out = _unpack(packed, d, width)
+    steps = -(-order // d)
+
+    def packed() -> Iterator[int]:
+        while values:
+            chunk = values[: _UNPACK_CHUNK * d]
+            del values[: _UNPACK_CHUNK * d]
+            yield from _pack(chunk, d, width)
+
+    out = _unpack(_divide(packed(), divisor(steps).coeffs, steps), d, width)
     del out[order:]
     return out
 
@@ -376,7 +385,7 @@ def delta_series(order: int) -> Series:
 
     Equal to ``expand(DELTA, order)``.  theta = psi(q) psi(q^3) is divided
     by E(q^12) in 12 lanes of W1 bits, then by phi(-q^2) in 2 lanes of W2
-    bits, each pass one ``Series.div`` over the packed steps against the
+    bits, each pass one division over the packed steps against the
     undilated divisor.  It is exact because every lane's true quotient,
     padded lanes included, lies in [0, 2^W): theta, 1/E(q) and 1/phi(-q) are
     nonnegative, and each lane's quotient is bounded at x = e^-t by its

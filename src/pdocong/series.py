@@ -246,6 +246,53 @@ def _product(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
     return _walk(a, b, order)
 
 
+def _divide(num: Iterable[int], divisor: tuple[int, ...], order: int) -> list[int]:
+    """The first ``order`` coefficients of num / divisor, exactly (divisor a
+    unit with at least ``order`` terms).
+
+    ``num`` is read once, in order, and no further than its term ``order - 1``,
+    so it may be an iterator that builds its terms as the loop asks for them.
+
+    The divisor's nonzero offsets are grouped by coefficient value.  Each
+    group costs one C-level sum of the out[n - k] over its offsets k and at
+    most one multiply per n: theta and eta factors carry only the values
+    +-1 or +-2, so a division costs about one big-integer addition per
+    term.  A dense divisor with distinct values still works, one group per
+    offset, but the package divides only by sparse factors.
+    """
+    if not divisor or divisor[0] not in (1, -1):
+        head = divisor[0] if divisor else None
+        raise NonUnitError(f"series is not invertible: constant term {head!r}")
+    c0 = divisor[0]
+    # out is a zero sentinel followed by the quotient so far, so out[-k] is
+    # the coefficient at n - k.  A group's getter reads the sentinel and the
+    # group's offsets k <= n, so it returns a tuple even for one offset; it
+    # grows as n reaches each further offset.  arrivals is highest offset
+    # first, so the next one to arrive is at its end.
+    arrivals = [(k, divisor[k]) for k in range(order - 1, 0, -1) if divisor[k]]
+    live: dict[int, list[int]] = {}
+    getters: dict[int, itemgetter] = {}
+    groups: list[tuple[int, itemgetter]] = []
+    out = [0]
+    for n, acc in zip(range(order), num):
+        if arrivals and arrivals[-1][0] == n:
+            _, d = arrivals.pop()
+            reads = live.setdefault(d, [0])
+            reads.append(-n)
+            getters[d] = itemgetter(*reads)
+            groups = list(getters.items())
+        for d, terms in groups:
+            if d == 1:
+                acc -= sum(terms(out))
+            elif d == -1:
+                acc += sum(terms(out))
+            else:
+                acc -= d * sum(terms(out))
+        out.append(acc if c0 == 1 else -acc)
+    del out[0]
+    return out
+
+
 class Series:
     """Truncated integer power series; ``order`` = number of known coefficients."""
 
@@ -327,48 +374,11 @@ class Series:
         """Exact quotient self/other to the shared order (other a unit).
 
         Identical coefficients to ``self * other.invert()`` but runs in
-        O(order * nonzeros(other)), which matters for sparse eta factors.
-
-        The divisor's nonzero offsets are grouped by coefficient value.  Each
-        group costs one C-level sum of the out[n - k] over its offsets k and at
-        most one multiply per n: theta and eta factors carry only the values
-        +-1 or +-2, so a division costs about one big-integer addition per
-        term.  A dense divisor with distinct values still works, one group per
-        offset, but the package divides only by sparse factors.
+        O(order * nonzeros(other)), which matters for sparse eta factors;
+        ``_divide`` runs the loop.
         """
         order = min(len(self.coeffs), len(other.coeffs))
-        if other.order == 0 or other.coeffs[0] not in (1, -1):
-            head = other.coeffs[0] if other.order else None
-            raise NonUnitError(f"series is not invertible: constant term {head!r}")
-        c0 = other.coeffs[0]
-        # out is a zero sentinel followed by the quotient so far, so out[-k] is
-        # the coefficient at n - k.  A group's getter reads the sentinel and the
-        # group's offsets k <= n, so it returns a tuple even for one offset; it
-        # grows as n reaches each further offset.  arrivals is highest offset
-        # first, so the next one to arrive is at its end.
-        arrivals = [(k, other.coeffs[k]) for k in range(order - 1, 0, -1) if other.coeffs[k]]
-        live: dict[int, list[int]] = {}
-        getters: dict[int, itemgetter] = {}
-        groups: list[tuple[int, itemgetter]] = []
-        num = self.coeffs
-        out = [0]
-        for n in range(order):
-            if arrivals and arrivals[-1][0] == n:
-                _, d = arrivals.pop()
-                reads = live.setdefault(d, [0])
-                reads.append(-n)
-                getters[d] = itemgetter(*reads)
-                groups = list(getters.items())
-            acc = num[n]
-            for d, terms in groups:
-                if d == 1:
-                    acc -= sum(terms(out))
-                elif d == -1:
-                    acc += sum(terms(out))
-                else:
-                    acc -= d * sum(terms(out))
-            out.append(acc if c0 == 1 else -acc)
-        return Series(out[1:])
+        return Series(_divide(self.coeffs, other.coeffs, order))
 
     # -- coefficient rearrangements -----------------------------------------
 

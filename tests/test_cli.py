@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import io
 import json
 import time
 
@@ -298,13 +299,21 @@ def test_out_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, monkeypatch, fmt):
-    # the text goes out in slices of _WRITE_CHUNK characters; with slices of
-    # 7 the bytes on stdout and in --out are the joined text and a newline
+def test_output_written_in_slices_is_byte_identical(tmp_path, capsys, fmt):
+    # each form goes out in pieces, one term at a time (csv a row at a time);
+    # the bytes on stdout and in --out are the whole form and a newline
     argv = ["phi", "--k", "4", "--format", fmt]
-    whole = "".join(cli._render(fmt, *cli._cmd_phi(_build_parser().parse_args(argv))[1:])) + "\n"
-    assert len(whole) > 7 * 3
-    monkeypatch.setattr(cli, "_WRITE_CHUNK", 7)
+    p = phi_poly(4)
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["degree", "coefficient"])
+        writer.writerows(p.terms())
+        form = buf.getvalue().rstrip("\n")
+    else:
+        form = "".join(cli._poly_json(p) if fmt == "json" else p.str_pieces())
+    whole = form + "\n"
+    assert len(p.terms()) > 3
     code, out, _ = run_cli(capsys, *argv)
     assert (code, out) == (0, whole)
     target = tmp_path / "out.txt"

@@ -11,18 +11,21 @@ from pdocong import (
     EtaQuotientSpec,
     Series,
     delta_series,
+    etaq,
     euler_series,
     expand,
     gamma_series,
     kappa_series,
     pdo_bruteforce,
     pdo_series,
+    series,
     xi_series,
 )
 from pdocong.etaq import (
     _OVERPARTITION_GROWTH,
     _PARTITION_GROWTH,
     _UNPACK_CHUNK,
+    _lane_quotient,
     _lane_width,
     _log2_decayed,
     _pack,
@@ -277,14 +280,16 @@ def test_kappa_matches_its_eta_quotient_form():
 
 
 def test_expansions_divide_only_by_sparse_factors(monkeypatch):
+    # Series.div and the PDO lane passes both divide with series._divide
     divisors = []
-    div = Series.div
+    divide = series._divide
 
-    def spy(self, other):
-        divisors.append((sum(1 for c in other.coeffs if c), other.order))
-        return div(self, other)
+    def spy(num, divisor, order):
+        divisors.append((sum(1 for c in divisor if c), len(divisor)))
+        return divide(num, divisor, order)
 
-    monkeypatch.setattr(Series, "div", spy)
+    monkeypatch.setattr(series, "_divide", spy)
+    monkeypatch.setattr(etaq, "_divide", spy)
     kappa_series(1200)
     pdo_series(8000)
     expand(XI, 1200)
@@ -292,6 +297,40 @@ def test_expansions_divide_only_by_sparse_factors(monkeypatch):
     assert {order for _, order in divisors} == {1200, 667, 4000}
     for terms, order in divisors:
         assert terms <= 2 * math.isqrt(order) + 1
+
+
+def test_lane_passes_match_expand_at_every_last_chunk_length(monkeypatch):
+    # with chunks of 3 steps, each pass's last chunk is full, short or one step long
+    monkeypatch.setattr(etaq, "_UNPACK_CHUNK", 3)
+    orders = range(1, 121)
+    for d in (12, 2):
+        assert {-(-n // d) % 3 for n in orders} == {0, 1, 2}
+    for n in orders:
+        assert pdo_series(n).values == expand(DELTA, n).coeffs, n
+
+
+def test_lane_pass_takes_its_numerator_off_as_the_division_reads_it(monkeypatch):
+    # chunks of 4 steps of 12 lanes: each is taken off values when the division
+    # reads its first step, so values shrinks by 48 every fourth step
+    monkeypatch.setattr(etaq, "_UNPACK_CHUNK", 4)
+    order = 200
+    values = list((psi_series(order) * psi_series(order, 3)).coeffs)
+    want = list(Series(values).div(euler_series(order).dilate(12)))
+    lengths = []
+    divide = etaq._divide
+
+    def spy(num, divisor, steps):
+        def reading():
+            for step in num:
+                lengths.append(len(values))
+                yield step
+
+        return divide(reading(), divisor, steps)
+
+    monkeypatch.setattr(etaq, "_divide", spy)
+    assert _lane_quotient(values, 12, euler_series, _PARTITION_GROWTH) == want
+    assert values == []
+    assert lengths == [max(0, order - 48 * (s // 4 + 1)) for s in range(-(-order // 12))]
 
 
 def test_kappa_unitizations_match_polynomials():

@@ -162,6 +162,16 @@ def test_div_matches_naive_with_mixed_values(num, den):
     check_div_against_naive(num, den)
 
 
+@given(coeff_lists, st.one_of(two_value_divisors, distinct_divisors, mixed_divisors))
+def test_divide_reads_a_one_shot_iterator_once_in_order(num, den):
+    # a generator gives Series.div's quotient, and the terms past the order
+    # are left unread in it
+    order = min(len(num), len(den))
+    terms = (c for c in num)
+    assert series._divide(terms, tuple(den), order) == list(Series(num).div(Series(den)))
+    assert list(terms) == num[order:]
+
+
 @given(st.one_of(two_value_divisors, distinct_divisors, mixed_divisors), coeff_lists)
 def test_div_undoes_mul(den, coeffs):
     a, b = Series(coeffs), Series(den)
