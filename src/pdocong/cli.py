@@ -40,15 +40,21 @@ from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
 # ``expand`` runs |e| sparse passes over each factor E(q^m)^e and is held to
 # two budgets, each delta's at the order limit.  A pass costs at least its
 # order, so order times sum |e| is held to 6 * MAX_ORDER, which bounds the
-# passes at small orders, where each costs microseconds whatever it reads.  A
-# pass also reads about sqrt(order / m) terms of E(q^m) per coefficient, so
-# order times sum |e| isqrt(order // m) (_expansion_terms) is held to
-# MAX_EXPANSION_PRICE: --spec "1^-6" --order 131072, within the first budget
-# but 57 s and 361 MB (81 MB of JSON), is refused at about twice this one.
-# The price counts terms, not digits, so the dearest accepted
-# calls are specs whose coefficients grow fast: 1^-6 at order 85848 takes
-# 17-19 s and 175 MB, 1^-24 at 32768 16 s and 93 MB, 1^-48 at 16384 11 s and
-# 53 MB, against 8 s and 45 MB for delta at the order limit.
+# passes at small orders, where each costs microseconds whatever it reads
+# (--name kappa, 80 passes, took 9.4-10.9 s at order 16384, which this
+# refuses).  A pass also reads about sqrt(order / m) terms of E(q^m) per
+# coefficient, so order times sum |e| isqrt(order // m) (_expansion_terms) is
+# held to MAX_EXPANSION_PRICE: --spec "1^-6" --order 131072, within the first
+# budget but 57 s and 361 MB (81 MB of JSON), is refused at about twice this
+# one, and so is "1^6" at that order (19 s).  The price counts terms, not
+# digits, so the dearest accepted calls are specs whose coefficients grow
+# fast: 1^-6 at order 85848 takes 17-19 s and 175 MB, 1^-24 at 32768 16 s and
+# 93 MB, 1^-48 at 16384 11 s and 53 MB, against 8 s and 45 MB for delta at
+# the order limit when those were measured.  The dearest accepted call for
+# each named quotient now takes, cold (two runs each on a shared Xeon core,
+# CPython 3.11): --name delta --order 131072 4.9-5.0 s and 44 MB, gamma
+# --order 26214 3.6-3.8 s and 22 MB, xi --order 65536 4.1 s and 34 MB, kappa
+# --order 9830 2.5-2.6 s and 17 MB.
 # ``verify --family pair`` builds the modulus 2**mod_exp, so --mod-exp is held
 # to MAX_MOD_EXP.  PDO(n) < 2^1208 for every n below MAX_ORDER, so any exponent
 # from 1208 on already asks for equality, and 2^4096 has 1234 decimal digits,
@@ -293,7 +299,8 @@ _FAMILY_FLAGS.update(ramanujan=("alpha_max",), pair=("lhs", "rhs", "mod_exp"))
 
 def _check_family_level(family: str, flag: str, level: int) -> None:
     """Refuse a level at which n = 1 already needs a table past MAX_ORDER,
-    before its specs are built: they can be huge there.  A family's n = 1
+    before its specs are built: they can be huge there (--alpha-max 30000
+    for ramanujan took 5.4-6.8 s and 253 MB to build them).  A family's n = 1
     index is at least 2^level or does not depend on the level, so one probe
     at a level of MAX_ORDER's bit length or below decides every level."""
     specs = FAMILIES[family](min(level, MAX_ORDER.bit_length()), (0, 2))

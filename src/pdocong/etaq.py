@@ -27,7 +27,7 @@ two sparse divisions remain, u = theta / E(q^12) first and delta = u / phi(-q^2)
 second.  1/E(q^12) = sum p(m) q^(12m) grows slowest, so the pass with E(q^12)
 runs on values of at most a few hundred bits instead of the table's full size.
 ``expand`` is the generic eta-quotient route; it serves arbitrary specs and is
-the independent second route for delta, gamma and kappa.  The module also
+the independent second route for delta, gamma, xi and kappa.  The module also
 expands the companion functions gamma, xi and kappa used by the polynomial
 tower, and provides a brute-force combinatorial oracle for PDO(n).
 
@@ -83,11 +83,30 @@ largest entry has 591.
 gamma(q) = E(q)^5 E(q^2)^5 E(q^6)^5 / E(q^3)^15 has exponents that are all
 multiples of five, so it is the fifth power of
 
-    G(q) = E(q) E(q^2) E(q^6) / E(q^3)^3.
+    G(q) = E(q) E(q^2) E(q^6) / E(q^3)^3 = phi(-q) psi(q) / (E(q^3) phi(-q^3)),
 
-``gamma_series`` expands G with six sparse eta passes and takes its fifth
-power with three dense products, where ``expand(GAMMA, order)`` makes 30
-passes.  kappa(q) = gamma(q^2)^2 / gamma(q) is the eta quotient
+because phi(-q^m) = E(q^m)^2 / E(q^{2m}) and psi(q^m) = E(q^{2m})^2 / E(q^m)
+give
+
+    phi(-q) psi(q) = E(q) E(q^2),
+    E(q^3) phi(-q^3) = E(q^3)^3 / E(q^6).
+
+``gamma_series`` builds G from one sparse product and two sparse divisions
+and takes its fifth power with three dense products, where
+``expand(GAMMA, order)`` makes 30 eta passes.  The Hauptmodul
+
+    xi(q) = E(q^2)^5 E(q^6) / (E(q) E(q^3)^5)
+          = psi(q)^3 phi(-q) / (psi(q^3) phi(-q^3)^3),
+
+because
+
+    psi(q)^3 phi(-q) = E(q^2)^6 / E(q)^3 * E(q)^2 / E(q^2) = E(q^2)^5 / E(q),
+    psi(q^3) phi(-q^3)^3 = E(q^6)^2 / E(q^3) * E(q^3)^6 / E(q^6)^3 = E(q^3)^5 / E(q^6).
+
+``xi_series`` multiplies the sparse products psi(q) phi(-q) and psi(q)^2 and
+divides once by psi(q^3) and three times by phi(-q^3), where
+``expand(XI, order)`` makes 12 eta passes.  kappa(q) = gamma(q^2)^2 /
+gamma(q) is the eta quotient
 
     kappa(q) = E(q^2)^5 E(q^3)^15 E(q^4)^10 E(q^12)^10 / (E(q)^5 E(q^6)^35),
 
@@ -103,8 +122,9 @@ because psi(q^m) = E(q^{2m})^2 / E(q^m) gives
 
 ``kappa_series`` builds T from two sparse unit-coefficient products and three
 divisions by psi(q^3), then takes its fifth power with three dense products,
-where ``expand(KAPPA, order)`` makes 80 eta passes.  Every expansion here
-divides only by sparse Euler and theta factors.
+where ``expand(KAPPA, order)`` makes 80 eta passes.  All four named
+quotients come from sparse theta and Euler factors, and every expansion here
+divides only by such factors.
 
 ``EtaQuotientSpec`` and ``PdoTable`` are frozen records (``_record.Record``).
 A spec canonicalizes its factors on construction, so two specs built from the
@@ -165,15 +185,14 @@ class EtaQuotientSpec(Record):
 
 
 # The four named quotients of the tower.  kappa(q) = gamma(q^2)^2 / gamma(q)
-# is itself the eta quotient KAPPA below.  gamma_series and kappa_series build
-# gamma and kappa as fifth powers (of _GAMMA_ROOT and of a psi quotient), and
-# the tests check them against expand(GAMMA), expand(KAPPA) and kappa's
-# defining quotient.
+# is itself the eta quotient KAPPA below.  gamma_series, xi_series and
+# kappa_series build them from theta factors, and the tests check them
+# against expand(GAMMA), expand(XI), expand(KAPPA) and kappa's defining
+# quotient.
 DELTA = EtaQuotientSpec(((4, 1), (6, 2), (1, -1), (3, -1), (12, -1)))
 GAMMA = EtaQuotientSpec(((1, 5), (2, 5), (6, 5), (3, -15)))
 XI = EtaQuotientSpec(((2, 5), (6, 1), (1, -1), (3, -5)))
 KAPPA = EtaQuotientSpec(((1, -5), (2, 5), (3, 15), (4, 10), (6, -35), (12, 10)))
-_GAMMA_ROOT = EtaQuotientSpec(((1, 1), (2, 1), (6, 1), (3, -3)))
 
 NAMED_SPECS = {"delta": DELTA, "gamma": GAMMA, "xi": XI, "kappa": KAPPA}
 
@@ -400,17 +419,33 @@ def delta_series(order: int) -> Series:
 
 
 def gamma_series(order: int) -> Series:
-    """gamma(q) = (E(q) E(q^2) E(q^6) / E(q^3)^3)^5.
+    """gamma(q) = G(q)^5, G = phi(-q) psi(q) / (E(q^3) phi(-q^3)).
 
-    Equal to ``expand(GAMMA, order)``; see the module docstring.  Nothing is
-    memoized: each call builds its series afresh.
+    G = E(q) E(q^2) E(q^6) / E(q^3)^3 is one sparse product and two sparse
+    divisions, by E(q^3) first and by phi(-q^3) second; its fifth power takes
+    three dense products.  Equal to ``expand(GAMMA, order)``; see the module
+    docstring.  Nothing is memoized: each call builds its series afresh.
     """
-    return expand(_GAMMA_ROOT, order) ** 5
+    root = phi_minus_series(order) * psi_series(order)
+    root = root.div(euler_series(order).dilate(3)).div(phi_minus_series(order, 3))
+    return root**5
 
 
 def xi_series(order: int) -> Series:
-    """The degree-one Hauptmodul the polynomial tower is written in."""
-    return expand(XI, order)
+    """xi(q) = psi(q)^3 phi(-q) / (psi(q^3) phi(-q^3)^3), the degree-one
+    Hauptmodul the polynomial tower is written in.
+
+    The numerator is the product of the sparse products psi(q) phi(-q) and
+    psi(q)^2; one division by psi(q^3) and three by phi(-q^3) follow.  Equal
+    to ``expand(XI, order)``; see the module docstring.  Nothing is memoized:
+    each call builds its series afresh.
+    """
+    psi, phi = psi_series(order), phi_minus_series(order)
+    xi = ((psi * phi) * (psi * psi)).div(psi_series(order, 3))
+    phi3 = phi_minus_series(order, 3)
+    for _ in range(3):
+        xi = xi.div(phi3)
+    return xi
 
 
 def kappa_series(order: int) -> Series:

@@ -677,13 +677,15 @@ def _xi_power(order: int, degree: int) -> Series:
 def poly_to_series(p: XiPoly, order: int) -> Series:
     """Substitute the q-expansion of xi into p, exactly, truncated to order.
 
-    The last 32 powers of xi are cached (the zeta cross-validation grid at one
-    order uses degrees 1 to 15), so a family of polynomials evaluated in
-    ascending degree costs one series product per distinct degree.
+    Each term c xi^d is added into one list of ``order`` coefficients in one
+    pass, and the list becomes a ``Series`` once at the end.  The last 32
+    powers of xi are cached (the zeta cross-validation grid at one order uses
+    degrees 1 to 15), so a family of polynomials evaluated in ascending degree
+    costs one series product per distinct degree.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    acc = Series.zero(order)
+    acc = [0] * order
     for deg, c in p.terms():
-        acc = acc + _xi_power(order, deg) * c
-    return acc
+        acc = [a + c * x for a, x in zip(acc, _xi_power(order, deg).coeffs)]
+    return Series(acc)

@@ -285,7 +285,7 @@ def test_expansions_divide_only_by_sparse_factors(monkeypatch):
     divide = series._divide
 
     def spy(num, divisor, order):
-        divisors.append((sum(1 for c in divisor if c), len(divisor)))
+        divisors.append(tuple(divisor))
         return divide(num, divisor, order)
 
     monkeypatch.setattr(series, "_divide", spy)
@@ -294,9 +294,15 @@ def test_expansions_divide_only_by_sparse_factors(monkeypatch):
     pdo_series(8000)
     expand(XI, 1200)
     # pdo_series(8000) divides by E(q) to ceil(8000/12) and by phi(-q) to 8000/2 terms
-    assert {order for _, order in divisors} == {1200, 667, 4000}
-    for terms, order in divisors:
-        assert terms <= 2 * math.isqrt(order) + 1
+    assert {len(d) for d in divisors} == {1200, 667, 4000}
+    for d in divisors:
+        assert len(d) - d.count(0) <= 2 * math.isqrt(len(d)) + 1
+    # xi and gamma's fifth root divide by psi(q^3), phi(-q^3) and E(q^3) alone
+    divisors.clear()
+    xi_series(1200)
+    gamma_series(1200)
+    thetas = (psi_series(1200, 3), phi_minus_series(1200, 3), euler_series(1200).dilate(3))
+    assert set(divisors) == {t.coeffs for t in thetas}
 
 
 def test_lane_passes_match_expand_at_every_last_chunk_length(monkeypatch):
@@ -397,9 +403,16 @@ def test_etaq_series_functions_keep_no_memo():
 
 @pytest.mark.parametrize("order", [1, 2, 3, 600, 1201])
 def test_gamma_fifth_root_route_matches_expand(order):
-    # gamma as the fifth power of E(q) E(q^2) E(q^6) / E(q^3)^3 against the
-    # generic route's 30 eta passes
+    # gamma as the fifth power of phi(-q) psi(q) / (E(q^3) phi(-q^3)) against
+    # the generic route's 30 eta passes
     assert gamma_series(order) == expand(GAMMA, order)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 600, 1201])
+def test_xi_theta_route_matches_expand(order):
+    # xi as psi(q)^3 phi(-q) / (psi(q^3) phi(-q^3)^3) against the generic
+    # route's 12 eta passes
+    assert xi_series(order) == expand(XI, order)
 
 
 def test_spec_text_round_trip():
