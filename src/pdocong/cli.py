@@ -15,6 +15,7 @@ for.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator
 from math import isqrt
@@ -403,7 +404,15 @@ def main(argv=None) -> int:
             print(f"error: cannot write --out {args.out}: {exc.strerror}", file=sys.stderr)
             return 2
     else:
-        _write(sys.stdout, args.format, *forms)
+        try:
+            _write(sys.stdout, args.format, *forms)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe early (``| head``): the output is
+            # incomplete, so exit 2, and point stdout at the null device so
+            # that the interpreter's final flush stays silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 2
     return code
 
 

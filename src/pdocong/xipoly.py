@@ -66,22 +66,23 @@ Every quantity in these cases depends on (i, j) only through i mod 4 and
 j mod 4, so finitely many cases decide every cell (tests/test_floor_lemma.py
 runs each, and both recurrences on exact rows).
 
-The walk stores each entry divided by both floors; the entries below T are
-the row's head.  On the rows of the phi_9 step the powers of 2 are 29% of the
-bits and the powers of 3 another 38% of what is left.  The recurrence maps
-floored rows to floored rows with small integer coefficients (_next_row): in
-the head a factor 9 moves from a term of row j-1 to a term of row j, so the
-walk never divides; the one division is the checked one that floors the
-pair, which raises ArithmeticError naming the offset if a floor fails.
+The walk stores each entry divided by both floors (the storage rule is
+_floored's); the entries below T are the row's head.  On the rows of the
+phi_9 step the powers of 2 are 29% of the bits and the powers of 3 another
+38% of what is left.  The recurrence maps floored rows to floored rows with
+small integer coefficients (_next_row): in the head a factor 9 moves from a
+term of row j-1 to a term of row j, so the walk never divides; the one
+division is the checked one that floors the pair, which raises
+ArithmeticError naming the offset if a floor fails.
 
 unitize adds c_j times row j into accumulators kept in 4-adic slot
 coordinates: slot t, the coefficient of xi^(d_min(i, p.low) + t), is held in
-units of 2^(2t + E).  Entry M of row j lands in slot t and carries
-2^(nu_2(c_j) + f(M)) = 2^(2t + e_j), with e_j the same for the whole row
-(entry 0 of a row that is not a stay row carries twice that), so the row
-takes one multiplier, the odd part of c_j times 2^(e_j - E), and each entry
-costs one multiply and one add: the tower's coefficients carry hundreds of
-trailing zero bits, which never go through a product or a shift per entry.
+units of 2^(2t + E).  Entry M of row j lands in slot t, and times c_j it is
+an integer times 2^(2t + e_j), with e_j the same for the whole row, so the
+row takes one multiplier, the odd part of c_j times 2^(e_j - E), and each
+entry costs one multiply and one add: the tower's coefficients carry
+hundreds of trailing zero bits, which never go through a product or a shift
+per entry.
 E is the base of the live band: while e_j - E stays in [0, 60) the rows add
 into it, and a row outside merges it into running totals, held in units of
 2^(2t + e0) for the least e_j, and opens the next band at its own e_j.  One
@@ -297,10 +298,12 @@ def d_min(i: int, j: int) -> int:
 
 def _floored(row: XiPoly, base: int, stay: bool, head: int) -> list[int]:
     """The coefficients of row at offsets M = 0, 1, ... above base, each divided
-    by its floors 2^f(M) * 9^max(0, head - M) (the floor lemma, module
+    by 2^(2M - 1 + stay) * 9^max(0, head - M) (the floor lemma, module
     docstring; ``head`` is T - base).
 
-    A guard on the lemma: raises ArithmeticError naming the offset if a
+    The one storage rule of the walk: M = 0 included, so entry 0 of a row
+    that is not a stay row, whose 2-floor is f(0) = 0, is held doubled.  A
+    guard on the lemma: raises ArithmeticError naming the offset if a
     coefficient sits below base or is not divisible by either floor.
     """
     if row.coeffs and row.low < base:
@@ -318,6 +321,8 @@ def _floored(row: XiPoly, base: int, stay: bool, head: int) -> list[int]:
             v = next(v for v in count() if rest % 3 ** (v + 1))
             floor = 2 * (head - m)
             raise ArithmeticError(f"offset {m} above degree {base}: 3-adic valuation {v} below floor {floor}")
+    if not stay:
+        out[0] <<= 1
     return out
 
 
@@ -328,27 +333,18 @@ def _next_row(alpha: list[int], beta: list[int], stay: bool, head: int) -> list[
     (see _floored); the rows alternate, so row j+1 is a stay row exactly when
     row j is not, and its head h is head + stay.  Take q = beta, and
     p_M = alpha_{M-1} after a stay row (row j+1 starts where row j does, row
-    j-1 one degree lower) or p = alpha after any other row; then double the
-    entry 0 of whichever of p, q is not a stay row, whose 2-floor there is 0
-    and not 2*0 - 1.  Past the head, M > h, entry M of the new row is
-    5 p_M - p_{M-1} - 9 q_M + 2 q_{M-1}, formed as 5 w_M + q_M - w_{M-1} with
-    w_M = p_M - 2 q_M.  Below it, M < h, the 3-floors move the 9 from q_M to
-    p_{M-1}: a_M - 2 a_{M-1} + p_{M-1} with a_M = 5 p_M - q_M; at M = h both
-    carry it.  Entry 0 after a stay row is -beta_0, or -9 beta_0 if h = 0: the
-    new row is then not a stay row.  Every entry is a small-integer
-    combination: the walk never divides.
+    j-1 one degree lower) or p = alpha after any other row.  Past the head,
+    M > h, entry M of the new row is 5 p_M - p_{M-1} - 9 q_M + 2 q_{M-1},
+    formed as 5 w_M + q_M - w_{M-1} with w_M = p_M - 2 q_M.  Below it, M < h,
+    the 3-floors move the 9 from q_M to p_{M-1}: a_M - 2 a_{M-1} + p_{M-1}
+    with a_M = 5 p_M - q_M; at M = h both carry it.  Every entry is a
+    small-integer combination: the walk never divides.
     """
     p = [0] * stay + alpha
-    q = beta[:]
-    n = max(len(p), len(q)) + 1
+    n = max(len(p), len(beta)) + 1
     p += [0] * (n - len(p))
-    q += [0] * (n - len(q))
+    q = beta + [0] * (n - len(beta))
     h = max(head + stay, -1)
-    first = -q[0] if h > 0 else -9 * q[0]
-    if stay:
-        q[0] <<= 1
-    else:
-        p[0] <<= 1
     a = [5 * x - y for x, y in zip(p[: h + 1], q)]
     row = [z - (w << 1) + x for z, w, x in zip(a[:h], [0, *a], [0, *p])]
     edge = 0 <= h < n
@@ -356,26 +352,24 @@ def _next_row(alpha: list[int], beta: list[int], stay: bool, head: int) -> list[
         row.append(a[h] - (q[h] << 3) - ((a[h - 1] << 1) - p[h - 1] if h else 0))
     w = [x - (y << 1) for x, y in zip(p[h + 1 :], q[h + 1 :])]
     row += [5 * x + y - z for x, y, z in zip(w, q[h + 1 :], [p[h] - (q[h] << 1) if edge else 0, *w])]
-    if stay:
-        row[0] = first
     while row and not row[-1]:
         row.pop()
     return row
 
 
-def _floored_rows(i: int, j: int) -> Iterator[tuple[int, bool, list[int]]]:
-    """(d_min, stay, floored row) for zeta_{i,j}, zeta_{i,j+1}, ..., built on
-    demand from the ladder's pair at (i, j)."""
+def _floored_rows(i: int, j: int) -> Iterator[tuple[int, list[int]]]:
+    """(d_min, floored row) for zeta_{i,j}, zeta_{i,j+1}, ..., built on demand
+    from the ladder's pair at (i, j)."""
     # the row geometry of the module docstring; the head grows by one after
     # each stay row
     base, stay, head = d_min(i, j), (5 * i + j) & 1 == 1, (j - (i & 1)) // 2
     first, second = _pair(i, j)
     beta = _floored(first, base, stay, head)
-    yield base, stay, beta
+    yield base, beta
     base, head, stay = base + (not stay), head + stay, not stay
     alpha = _floored(second, base, stay, head)
     while True:
-        yield base, stay, alpha
+        yield base, alpha
         alpha, beta = _next_row(alpha, beta, stay, head), alpha
         base, head, stay = base + (not stay), head + stay, not stay
 
@@ -430,29 +424,32 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
 
         zeta_{a+c,b+d} = 2 zeta_{a,b} zeta_{c,d} - xi^{5c} sigma_{xi,2}^d zeta_{a-c,b-d}.
 
-    Taking c = floor(i/2), d = g = floor(j/2) leaves a - c = i mod 2 and
-    b - d in {0, 1}, so the last factor is an initial value, and the pair at
-    (i, j) needs only _pair(c, g) and, for odd i, _pair(c + 1, g).  The
-    recursion ends at i <= 1, j = 0, in the initial table.  unitize's start
-    rows halve with i, so a tower level's ladder finds the one below it in
-    the cache and takes one step.  Every product runs through _ladder_product.
+    Take c = floor(i/2), r = i mod 2 and g = floor(j/2).  Each cell n of the
+    pair, n in {j, j+1}, splits as n = b + d with d = floor(n/2) and
+    b = n - d in {d, d + 1}: it is zeta_{c+r,b} zeta_{c,d} doubled less
+    xi^{5c} sigma_{xi,2}^d zeta_{r,b-d}, the last factor an initial value.
+    Both b and d lie in {g, g + 1}, so the pair at (i, j) needs only
+    _pair(c, g) and, for odd i, _pair(c + 1, g).  The recursion ends at
+    i <= 1, j = 0, in the initial table.  unitize's start rows halve with i,
+    so a tower level's ladder finds the one below it in the cache and takes
+    one step.  Every product runs through _ladder_product; for even i both
+    factors of a square are the same cached row, so it is packed once.
     """
     init = zeta_initial()
     if i <= 1 and not j:
         return init[i, 0], init[i, 1]
     c, r = i >> 1, i & 1
     g = j >> 1
-    low, high = _pair(c, g)  # zeta_{c,g}, zeta_{c,g+1}
-    a_low, a_high = _pair(c + 1, g) if r else (low, high)  # zeta_{a,g}, zeta_{a,g+1}, a = i - c
-    sigma = _sigma_power(5 * c + g, g)
-    if j & 1:  # j = 2g + 1 = (g + 1) + g and j + 1 = (g + 1) + (g + 1)
-        first = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
-        sigma = _sigma_power(5 * c + g + 1, g + 1)
-        second = _ladder_product(a_high, high, 1) - _ladder_product(sigma, init[r, 0])
-    else:  # j = g + g and j + 1 = (g + 1) + g
-        first = _ladder_product(a_low, low, 1) - _ladder_product(sigma, init[r, 0])
-        second = _ladder_product(a_high, low, 1) - _ladder_product(sigma, init[r, 1])
-    return first, second
+    lows = _pair(c, g)  # zeta_{c,g}, zeta_{c,g+1}
+    highs = _pair(c + 1, g) if r else lows  # zeta_{c+r,g}, zeta_{c+r,g+1}
+
+    def cell(n: int) -> XiPoly:
+        d = n >> 1
+        b = n - d
+        sigma = _sigma_power(5 * c + d, d)
+        return _ladder_product(highs[b - g], lows[d - g], 1) - _ladder_product(sigma, init[r, b - d])
+
+    return cell(j), cell(j + 1)
 
 
 # a row's multiplier is shifted left by at most _BAND - 1 bits; a row further
@@ -480,12 +477,11 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     two rows live.  Slot t of each accumulator is the coefficient of
     xi^(base + t), base = d_min(i, p.low), held in units of 2^(2t + E) for
     the live band's base E: entry M of row j lands in slot t = s_j + M,
-    s_j = d_min(i, j) - base, and by the floor lemma carries
-    2^(nu_2(c_j) + f(M)) = 2^(2t + e_j) with e_j = nu_2(c_j) - 1 + stay_j
-    - 2 s_j = nu_2(c_j) - j + 2 base - 1 - 5i (as 2 d_min(i, j) - stay_j =
-    5i + j), or twice that at entry 0 of a row that is not a stay row
-    (f(0) = 0, not 2*0 - 1).  So
-    the whole row takes one multiplier, c * 2^(e_j - E) past the head and
+    s_j = d_min(i, j) - base, and _floored holds it in units of
+    2^(2M - 1 + stay_j), so times c_j it is an integer times 2^(2t + e_j)
+    with e_j = nu_2(c_j) - 1 + stay_j - 2 s_j = nu_2(c_j) - j + 2 base - 1
+    - 5i (as 2 d_min(i, j) - stay_j = 5i + j).  So the whole row takes one
+    multiplier, c * 2^(e_j - E) past the head and
     m_j * 2^(e_j - E) in it, with c the odd part of c_j and
     m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring), and each entry costs
     one multiply and one add.  A row with e_j outside [E, E + _BAND) merges
@@ -530,7 +526,7 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     tail_total: list[int] = []  # the closed bands, in units of 2^(2t + e0)
     head_total: list[int] = []
     rows = islice(_floored_rows(i, j0), p.low - j0, None)
-    for j, c, a, (low, stay, row) in zip(count(p.low), p.coeffs, floors, rows):
+    for j, c, a, (low, row) in zip(count(p.low), p.coeffs, floors, rows):
         if c:
             v = (c & -c).bit_length() - 1
             e = v - j + lift
@@ -548,11 +544,6 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
                 m_head = c // 3**a * 3 ** (2 * (j + top) + a - a_star) << (e - band)
                 heads[s : s + h] = [x + m_head * y for x, y in zip(heads[s : s + h], row)]
             acc[s + h : s + n] = [x + m * y for x, y in zip(acc[s + h : s + n], row[h:])]
-            if not stay:  # entry 0's floor is 0, not 2*0 - 1: it counts twice
-                if h:
-                    heads[s] += m_head * row[0]
-                else:
-                    acc[s] += m * row[0]
     _merge(tail_total, acc, band - e0)
     _merge(head_total, heads, band - e0)
     # coefficient t is tail_total[t] + head_total[t] 3^(A* - 2(base + t)), a
@@ -643,16 +634,19 @@ _XI_POWERS_LOCK = Lock()
 def _xi_power(order: int, degree: int) -> Series:
     """xi(q)^degree truncated to order.
 
-    A miss multiplies up from the highest power kept below degree at this
-    order (or from 1), one product per degree in a loop, and keeps each
-    positive power it passes; the least recently used ones beyond 32 are
-    dropped.  An even degree is the square of the half when that is still
-    kept, since the Kronecker kernel packs a square once and libmpdec squares
-    faster than it multiplies two operands; otherwise it is power * xi, with
-    xi the kept power of degree 1, expanded afresh only when that is gone.
-    Reading xi marks it as used, so a walk up the degrees at one order keeps
-    it past the 32 powers it passes.
+    Degree 0 is the series 1, built afresh: it neither reads nor fills the
+    table and expands no xi.  A miss multiplies up from the highest power kept
+    below degree at this order (or from 1), one product per degree in a loop,
+    and keeps each positive power it passes; the least recently used ones
+    beyond 32 are dropped.  An even degree is the square of the half when that
+    is still kept, since the Kronecker kernel packs a square once and libmpdec
+    squares faster than it multiplies two operands; otherwise it is power *
+    xi, with xi the kept power of degree 1, expanded afresh only when that is
+    gone.  Reading xi marks it as used, so a walk up the degrees at one order
+    keeps it past the 32 powers it passes.
     """
+    if not degree:
+        return Series.one(order)
     with _XI_POWERS_LOCK:
         power = _XI_POWERS.get((order, degree))
         if power is not None:

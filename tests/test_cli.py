@@ -3,7 +3,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -695,3 +699,17 @@ def test_only_the_asked_format_is_built(monkeypatch, capsys, fmt):
         monkeypatch.setattr(XiPoly, "str_pieces", _refuse("XiPoly.str_pieces"))
     for call, digests in GOLDEN.items():
         assert _golden_digest(capsys, call, fmt) == digests[FORMATS.index(fmt)], call
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_reader_closing_the_pipe_early_gets_exit_2_and_no_traceback(fmt):
+    # as in `pdocong pdo --max 20000 | head -n 2`: 1.9 MB of streamed output
+    # meets a closed pipe, which is exit 2, not the exit 1 of a failed check,
+    # with nothing on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-W", "error", "-m", "pdocong.cli", "pdo", "--max", "20000", "--format", fmt]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        assert child.stdout.read(64)
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (2, b"")

@@ -156,12 +156,15 @@ def _sharp_rule(i, j):
 @cache
 def _walk_sharp_cells():
     """The cells i, j < 64 whose offset-1 valuation is exactly 1, read from
-    the floored walk: nu at offset 1 is f(1) + nu(floored entry 1), with
-    f(1) = 2 on a stay row and 1 otherwise."""
+    the floored walk, which holds entry M divided by 2^(2M - 1 + stay): nu at
+    offset 1 is f(1) + nu(floored entry 1), with f(1) = 2 on a stay row and 1
+    otherwise, and the odd entry 0 of a row that is not a stay row is held
+    doubled."""
     sharp = set()
     for i in range(64):
-        for j, (_, stay, row) in enumerate(islice(xipoly._floored_rows(i, 0), 64)):
-            assert row[0] % 2 == 1, (i, j)
+        for j, (_, row) in enumerate(islice(xipoly._floored_rows(i, 0), 64)):
+            stay = (5 * i + j) % 2
+            assert nu2(row[0]) == 1 - stay, (i, j)
             if len(row) > 1 and 1 + stay + nu2(row[1]) == 1:
                 sharp.add((i, j))
     return frozenset(sharp)

@@ -322,12 +322,15 @@ def test_floors_hold_on_the_small_grid():
     rows = SparseZeta()
     for i in range(41):
         walk = islice(xipoly._floored_rows(i, 0), 81)
-        for j, (base, stay, row) in enumerate(walk):
+        for j, (base, row) in enumerate(walk):
             p = rows(i, j)
             assert_floors_hold(p, i, j)
+            stay = (5 * i + j) % 2 == 1
             assert (base, stay) == (d_min(i, j), d_min(i, j + 1) == base)
-            scales = [9 ** max(head(i, j) - m, 0) << floor(m, stay) for m in range(len(p.coeffs))]
-            assert row == [c // scale for c, scale in zip(p.coeffs, scales)], (i, j)
+            # entry M is held divided by 2^(2M - 1 + stay), M = 0 included, so
+            # entry 0 of a row that is not a stay row is held doubled
+            scales = [9 ** max(head(i, j) - m, 0) << (2 * m + stay) for m in range(len(p.coeffs))]
+            assert row == [2 * c // scale for c, scale in zip(p.coeffs, scales)], (i, j)
         for j in range(2, 81):
             del rows.memo[i, j]
 
@@ -401,8 +404,9 @@ def test_a_pair_below_its_base_raises(monkeypatch):
 
 def test_floored_row_rejects_the_other_rule():
     # zeta_{0,2} has an offset-1 coefficient of valuation 1: the floor of a
-    # row that is not a stay row, too low for a stay row
-    assert xipoly._floored(zeta(0, 2), 1, False, 1) == [-1, 29, -10, 1]
+    # row that is not a stay row, too low for a stay row; entry 0, -9 xi under
+    # its head, is held divided by 9 and doubled
+    assert xipoly._floored(zeta(0, 2), 1, False, 1) == [-2, 29, -10, 1]
     with pytest.raises(ArithmeticError, match="offset 1 above degree 1"):
         xipoly._floored(zeta(0, 2), 1, True, 1)
     # and -9 xi, the one entry under its head, meets 9^1 but not 9^2

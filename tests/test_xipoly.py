@@ -137,13 +137,14 @@ def test_initial_values_consistent_with_recurrences():
     assert k1 * initial[(1, 0)] - k2 * initial[(0, 0)] == initial[(2, 0)]
     assert x1 * initial[(0, 1)] - x2 * initial[(0, 0)] == initial[(0, 2)]
     # the package's floored xi step takes the same two rows to the same value:
-    # zeta_{0,1} is a stay row at degree 1, zeta_{0,0} and zeta_{0,2} are not;
-    # the head j - d_min(0, j) is 0, 0 and 1, so only -9 xi carries a 3-floor
+    # zeta_{0,1} is a stay row at degree 1, zeta_{0,0} and zeta_{0,2} are not,
+    # so their entry 0 is held doubled; the head j - d_min(0, j) is 0, 0 and 1,
+    # so only -9 xi carries a 3-floor
     floored = {
         j: xipoly._floored(initial[(0, j)], xipoly.d_min(0, j), j == 1, j - xipoly.d_min(0, j))
         for j in range(3)
     }
-    assert floored == {0: [1], 1: [5, -1], 2: [-1, 29, -10, 1]}
+    assert floored == {0: [2], 1: [5, -1], 2: [-2, 29, -10, 1]}
     assert xipoly._next_row(floored[1], floored[0], True, 0) == floored[2]
 
 
@@ -364,9 +365,11 @@ def test_row_trims_to_first_and_last_nonzero(coeffs, low):
 
 
 def unfloored(row, base, stay, head):
-    """The polynomial whose coefficient at offset M above base is
-    row[M] * 2^f(M) * 9^max(0, head - M)."""
-    scales = [9 ** max(head - m, 0) << (m and 2 * m - 1 + stay) for m in range(len(row))]
+    """Twice the polynomial whose coefficient at offset M above base is
+    row[M] * 2^(2M - 1 + stay) * 9^max(0, head - M), M = 0 included: doubled,
+    so that entry 0 of a row that is not a stay row, held doubled, scales back
+    to an integer whatever it is."""
+    scales = [9 ** max(head - m, 0) << (2 * m + stay) for m in range(len(row))]
     return XiPoly({base + m: c * scale for m, (c, scale) in enumerate(zip(row, scales))})
 
 
@@ -457,6 +460,15 @@ def test_xi_powers_expand_xi_once_per_order(monkeypatch):
         (x**d for d in range(22, 61)), Series.zero(order)
     )
     assert calls == [order]
+
+
+def test_constant_polynomial_expands_no_xi(monkeypatch):
+    # degree 0 is the series 1: no xi is expanded for it and nothing is kept
+    calls = []
+    monkeypatch.setattr(xipoly, "xi_series", lambda order: calls.append(order) or xi_series(order))
+    xipoly._XI_POWERS.clear()
+    assert poly_to_series(XiPoly({0: 3}), 1200) == Series([3] + [0] * 1199)
+    assert calls == [] and not xipoly._XI_POWERS
 
 
 @pytest.mark.parametrize("degree", [1200, 3000])
