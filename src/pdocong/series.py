@@ -63,28 +63,16 @@ def _walk(a: tuple[int, ...], b: tuple[int, ...], order: int) -> list[int]:
     """Coefficients 0 .. order - 1 of the product of two coefficient tuples, a the sparser.
 
     Both walks visit only nonzero terms, picked out by ``compress`` in C:
-    a's on the outside and b's inside, in ascending offset; +-1 coefficients
-    of ``a`` skip the multiply.
+    a's on the outside and b's inside, in ascending offset.
     """
     inner = list(compress(enumerate(b), b))
     out = [0] * order
     for i, c in compress(enumerate(a), a):
         room = order - i
-        if c == 1:
-            for j, d in inner:
-                if j >= room:
-                    break
-                out[i + j] += d
-        elif c == -1:
-            for j, d in inner:
-                if j >= room:
-                    break
-                out[i + j] -= d
-        else:
-            for j, d in inner:
-                if j >= room:
-                    break
-                out[i + j] += c * d
+        for j, d in inner:
+            if j >= room:
+                break
+            out[i + j] += c * d
     return out
 
 

@@ -115,11 +115,9 @@ unitization.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import count, islice
 from math import comb
-from threading import Lock
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .etaq import xi_series
@@ -625,61 +623,39 @@ def phi_poly_direct(k: int) -> XiPoly:
     return high - _sigma_power(10 * e, 5 * e) * low
 
 
-# (order, degree) -> xi(q)^degree truncated to order, the last 32 used
-_XI_POWERS: OrderedDict[tuple[int, int], Series] = OrderedDict()
-_XI_POWERS_MAXSIZE = 32
-_XI_POWERS_LOCK = Lock()
-
-
+@lru_cache(maxsize=32)
 def _xi_power(order: int, degree: int) -> Series:
-    """xi(q)^degree truncated to order.
+    """xi(q)^degree truncated to order, for degree >= 1.
 
-    Degree 0 is the series 1, built afresh: it neither reads nor fills the
-    table and expands no xi.  A miss multiplies up from the highest power kept
-    below degree at this order (or from 1), one product per degree in a loop,
-    and keeps each positive power it passes; the least recently used ones
-    beyond 32 are dropped.  An even degree is the square of the half when that
-    is still kept, since the Kronecker kernel packs a square once and libmpdec
-    squares faster than it multiplies two operands; otherwise it is power *
-    xi, with xi the kept power of degree 1, expanded afresh only when that is
-    gone.  Reading xi marks it as used, so a walk up the degrees at one order
-    keeps it past the 32 powers it passes.
+    An even degree is the square of its half, the same object twice, so the
+    Kronecker kernel packs it once; an odd one is that square times xi.  A
+    cold degree d takes at most 2 log2(d) products and nested calls, and the
+    products do not depend on what is cached.
     """
-    if not degree:
-        return Series.one(order)
-    with _XI_POWERS_LOCK:
-        power = _XI_POWERS.get((order, degree))
-        if power is not None:
-            _XI_POWERS.move_to_end((order, degree))
-            return power
-        start = max((d for o, d in _XI_POWERS if o == order and d < degree), default=0)
-        power = _XI_POWERS[order, start] if start else Series.one(order)
-        xi = _XI_POWERS.get((order, 1))
-        if xi is None:
-            xi = xi_series(order)
-        else:
-            _XI_POWERS.move_to_end((order, 1))
-        for d in range(start + 1, degree + 1):
-            half = _XI_POWERS.get((order, d // 2)) if d % 2 == 0 else None
-            power = half * half if half is not None else power * xi
-            _XI_POWERS[order, d] = power
-            if len(_XI_POWERS) > _XI_POWERS_MAXSIZE:
-                _XI_POWERS.popitem(last=False)
-        return power
+    if degree == 1:
+        return xi_series(order)
+    if degree % 2:
+        return _xi_power(order, degree - 1) * _xi_power(order, 1)
+    half = _xi_power(order, degree // 2)
+    return half * half
 
 
 def poly_to_series(p: XiPoly, order: int) -> Series:
     """Substitute the q-expansion of xi into p, exactly, truncated to order.
 
     Each term c xi^d is added into one list of ``order`` coefficients in one
-    pass, and the list becomes a ``Series`` once at the end.  The last 32
-    powers of xi are cached (the zeta cross-validation grid at one order uses
-    degrees 1 to 15), so a family of polynomials evaluated in ascending degree
-    costs one series product per distinct degree.
+    pass, and the list becomes a ``Series`` once at the end; a constant term
+    goes straight into entry 0 and expands no xi.  The last 32 powers of xi
+    are cached (the zeta cross-validation grid at one order uses degrees 1 to
+    15), so a family of polynomials evaluated in ascending degree costs one
+    series product per distinct degree, and a cold degree d at most 2 log2(d).
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     acc = [0] * order
     for deg, c in p.terms():
-        acc = [a + c * x for a, x in zip(acc, _xi_power(order, deg).coeffs)]
+        if deg:
+            acc = [a + c * x for a, x in zip(acc, _xi_power(order, deg).coeffs)]
+        else:
+            acc[0] += c
     return Series(acc)

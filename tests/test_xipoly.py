@@ -221,11 +221,26 @@ def test_phi_recursive_equals_direct(k):
     assert phi_poly(k) == phi_poly_direct(k)
 
 
+def _assert_phi9_digest():
+    # checked before any phi_10 is built: a wrong walk stops cancelling at the
+    # levels below, and phi_10 then grows for minutes instead of failing
+    digest = hashlib.sha256(repr(phi_poly(9).terms()).encode()).hexdigest()
+    assert digest == "18b4ae0a4cf4aa9b4019d1e456000d7a00e7c0ccfdb3235bfc60c2a0b9d7aafe"
+
+
 def test_phi10_digest_is_pinned():
     # phi_10, the CLI's top phi level, where unitize's two accumulators carry
     # most of the work; the digest was taken before the 3-adic floors were used
+    _assert_phi9_digest()
     digest = hashlib.sha256(repr(phi_poly(10).terms()).encode()).hexdigest()
     assert digest == "1017f7f8b9fa2d583c189a5faa90f8ae8521ca571737ee4f16f1ebdd0b45047c"
+
+
+def test_phi10_recursive_equals_direct():
+    # the top level on both routes: the unitize step against kappa^512 and
+    # the difference of lambda_12 and gamma^768 lambda_10
+    _assert_phi9_digest()
+    assert phi_poly(10) == phi_poly_direct(10)
 
 
 def test_poly_to_series_constant():
@@ -395,6 +410,7 @@ def test_step_is_the_xi_recurrence(alpha, beta, stay, base, head):
 def test_tower_memos_are_bounded():
     assert not hasattr(lambda_poly, "cache_info")
     assert phi_poly.cache_info().maxsize == 8
+    assert xipoly._pair.cache_info().maxsize == xipoly._xi_power.cache_info().maxsize == 32
     src = Path(pdocong.__file__).parent
     assert not [f.name for f in src.glob("*.py") if "lru_cache(maxsize=None)" in f.read_text()]
 
@@ -433,16 +449,17 @@ def test_dense_poly_products_take_the_kernel(monkeypatch):
 
 
 def test_xi_power_cache_is_bounded():
-    xipoly._XI_POWERS.clear()
+    xipoly._xi_power.cache_clear()
     p = XiPoly({d: 1 for d in range(40)})
     x = xi_series(30)
     assert poly_to_series(p, 30) == sum((x**d for d in range(1, 40)), Series.one(30))
-    assert xipoly._XI_POWERS_MAXSIZE == 32 and len(xipoly._XI_POWERS) == 32
+    info = xipoly._xi_power.cache_info()
+    assert info.currsize == info.maxsize == 32
 
 
 def test_xi_powers_expand_xi_once_per_order(monkeypatch):
-    # every miss after the first multiplies by the kept power of degree 1,
-    # which stays kept past the 32 powers the walk passes
+    # every odd degree reads the cached power of degree 1, so it stays cached
+    # past the 32 powers a walk up the degrees passes
     calls = []
 
     def spy(order):
@@ -450,7 +467,7 @@ def test_xi_powers_expand_xi_once_per_order(monkeypatch):
         return xi_series(order)
 
     monkeypatch.setattr(xipoly, "xi_series", spy)
-    xipoly._XI_POWERS.clear()
+    xipoly._xi_power.cache_clear()
     order = 97
     x = xi_series(order)
     for degree in range(1, 22):
@@ -466,36 +483,53 @@ def test_constant_polynomial_expands_no_xi(monkeypatch):
     # degree 0 is the series 1: no xi is expanded for it and nothing is kept
     calls = []
     monkeypatch.setattr(xipoly, "xi_series", lambda order: calls.append(order) or xi_series(order))
-    xipoly._XI_POWERS.clear()
+    xipoly._xi_power.cache_clear()
     assert poly_to_series(XiPoly({0: 3}), 1200) == Series([3] + [0] * 1199)
-    assert calls == [] and not xipoly._XI_POWERS
+    assert calls == [] and xipoly._xi_power.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("degree", [1200, 3000])
 def test_xi_power_of_high_degree_on_a_cold_cache(degree):
-    # the powers are filled by a loop, not one recursive call per degree
-    xipoly._XI_POWERS.clear()
+    # a cold power takes one call per halving and per odd step, not one per degree
+    xipoly._xi_power.cache_clear()
     order = 6
     x = expand_quotient(XI.factors, order)
     power = [1] + [0] * (order - 1)
     for _ in range(degree):
         power = poly_mul(power, x, order)
     assert list(poly_to_series(XiPoly({degree: 1}), order)) == power
-    assert sorted(xipoly._XI_POWERS) == [(order, d) for d in range(degree - 31, degree + 1)]
-    # a warm cache walks up from the highest kept power, dropping the oldest
+    misses = xipoly._xi_power.cache_info().misses
+    assert misses <= 2 * degree.bit_length()
+    # on a warm cache the next odd degree is one product of two cached powers
     nxt = poly_to_series(XiPoly({degree + 1: 1}), order)
     assert list(nxt) == poly_mul(power, x, order)
-    assert sorted(xipoly._XI_POWERS) == [(order, d) for d in range(degree - 30, degree + 2)]
+    assert xipoly._xi_power.cache_info().misses == misses + 1
 
 
-def test_even_xi_powers_squared_from_their_halves_match_repeated_powers():
-    # on a cold cache the ladder builds 2, 4, ..., 12 as squares of kept halves
-    xipoly._XI_POWERS.clear()
+def test_even_xi_powers_squared_from_their_halves_match_repeated_powers(monkeypatch):
+    # on a cold cache xi^12 is (xi^6)^2, xi^6 is (xi^3)^2, xi^3 is xi^2 * xi
+    # and xi^2 is xi squared; each square multiplies one Series by itself
     order = 300
     x = xi_series(order)
-    assert poly_to_series(XiPoly({12: 1}), order) == x**12
+    powers = {d: x**d for d in range(1, 13)}
+    products = []
+    mul = Series.__mul__
+
+    def spy(a, b):
+        product = mul(a, b)
+        products.append((b is a, product))
+        return product
+
+    monkeypatch.setattr(Series, "__mul__", spy)
+    monkeypatch.setattr(xipoly, "xi_series", lambda n: x)
+    xipoly._xi_power.cache_clear()
+    assert poly_to_series(XiPoly({12: 1}), order) == powers[12]
+    assert products == [(True, powers[2]), (False, powers[3]), (True, powers[6]), (True, powers[12])]
+    for degree in (1, 2, 3, 6, 12):
+        assert xipoly._xi_power(order, degree) == powers[degree]
+    assert xipoly._xi_power.cache_info().misses == 5
     for degree in range(2, 13, 2):
-        assert xipoly._XI_POWERS[order, degree] == x**degree
+        assert xipoly._xi_power(order, degree) == powers[degree]
 
 
 def test_xi_powers_are_safe_under_concurrent_access():
@@ -525,7 +559,7 @@ def test_xi_powers_are_safe_under_concurrent_access():
     assert not any(t.is_alive() for t in threads)
     # every call returned, with the serial value
     assert sorted(results, key=repr) == sorted(serial * 40, key=repr)
-    assert len(xipoly._XI_POWERS) <= 32
+    assert xipoly._xi_power.cache_info().currsize <= 32
 
 
 def test_import_loads_no_decimal():
