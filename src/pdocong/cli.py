@@ -18,59 +18,130 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
-from math import isqrt
+from math import gcd, isqrt, log, pi, sqrt
 
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
 from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
 from .padic import check_f_profile
-from .xipoly import XiPoly, lambda_poly, phi_poly, zeta
+from .xipoly import XiPoly, d_min, lambda_poly, phi_poly, zeta
 
-# Requests past these limits are refused up front with exit 2, before any table
-# or polynomial is built.  pdo_series(2**17) takes 1.6-1.8 s and 44 MB in one
-# process (a cold pdo --max 131071 1.9-3.1 s of CPU and 43 MB in every
-# format); each top tower level costs about 10 times the one below; phi --k 10
-# and lambda --k 12, which unitizes at phi_poly(10)'s i, take 1.7-3.0 and
-# 1.6-3.0 s cold (CPU time of ten cold runs each), and 19 MB in plain text.
-# The zeta limit holds for --i and --j alike: the dearest cells at or below
-# it, zeta --i 1535 with a small --j, take 1.7-2.7 s and 46 MB cold in every
-# format (the Kronecker products at the top of the ladder set the peak; every
-# level of the ladder, 5.7 MB, stays in the pair cache), zeta --i 1536
-# --j 1536 1.5-1.8 s and 42 MB (six cold runs each on a shared Xeon core,
-# CPython 3.11), and zeta(2048, 0) took 3.6 s and 77 MB in one cold run.  The
-# limits were set when the dearest of these calls took about 6 s, and are kept.
-# ``expand`` runs |e| sparse passes over each factor E(q^m)^e and is held to
-# two budgets, each delta's at the order limit.  A pass costs at least its
-# order, so order times sum |e| is held to 6 * MAX_ORDER, which bounds the
-# passes at small orders, where each costs microseconds whatever it reads
-# (--name kappa, 80 passes, took 9.4-10.9 s at order 16384, which this
-# refuses).  A pass also reads about sqrt(order / m) terms of E(q^m) per
-# coefficient, so order times sum |e| isqrt(order // m) (_expansion_terms) is
-# held to MAX_EXPANSION_PRICE: --spec "1^-6" --order 131072, within the first
-# budget but 57 s and 361 MB (81 MB of JSON), is refused at about twice this
-# one, and so is "1^6" at that order (19 s).  The price counts terms, not
-# digits, so the dearest accepted calls are specs whose coefficients grow
-# fast: 1^-6 at order 85848 takes 17-19 s and 175 MB, 1^-24 at 32768 16 s and
-# 93 MB, 1^-48 at 16384 11 s and 53 MB, against 8 s and 45 MB for delta at
-# the order limit when those were measured.  The dearest accepted call for
-# each named quotient now takes, cold (two runs each on a shared Xeon core,
-# CPython 3.11): --name delta --order 131072 4.9-5.0 s and 44 MB, gamma
-# --order 26214 3.6-3.8 s and 22 MB, xi --order 65536 4.1 s and 34 MB, kappa
-# --order 9830 2.5-2.6 s and 17 MB.
-# ``verify --family pair`` builds the modulus 2**mod_exp, so --mod-exp is held
-# to MAX_MOD_EXP.  PDO(n) < 2^1208 for every n below MAX_ORDER, so any exponent
-# from 1208 on already asks for equality, and 2^4096 has 1234 decimal digits,
-# inside the interpreter's int-to-str limit that the report's text meets.
+# Input ranges.  MAX_ORDER bounds every table's size and text.  verify
+# --family pair builds the modulus 2**mod_exp: PDO(n) < 2^1208 for every n
+# below MAX_ORDER, so any exponent from 1208 on already asks for equality, and
+# 2^4096 has 1234 decimal digits, inside the interpreter's int-to-str limit
+# that the report's text meets.
 MAX_ORDER = 2**17
-MAX_LEVEL = {"lambda": 12, "phi": 10, "zeta": 1536}
 MAX_MOD_EXP = 4096
 
+# _price's unit costs, in word operations: _READ for the interpreter's work
+# around one coefficient read or multiply-add, _PASS to set up one eta pass,
+# _ROW per word of a walked row entry, _KERNEL per word and doubling of a
+# Kronecker product and _TEXT per squared word of a coefficient written as
+# decimal text.  Fitted to the cold calls tabulated in tests/test_cli.py.
+_READ, _PASS, _ROW, _KERNEL, _TEXT = 24, 1500, 8, 12, 4
+# log2 of the q^n coefficient of 1/E(q)^w is below _GROWTH sqrt(w n) (etaq's
+# module docstring)
+_GROWTH = pi * sqrt(2 / 3) / log(2)
 
-def _expansion_terms(spec: EtaQuotientSpec, order: int) -> int:
-    """The terms of E(q^m) that the sparse passes of spec read per coefficient, about."""
-    return sum(abs(e) * isqrt(order // m) for m, e in spec.factors)
+
+def _words(bits: float) -> int:
+    return 1 + int(bits) // 64
 
 
-MAX_EXPANSION_PRICE = MAX_ORDER * _expansion_terms(NAMED_SPECS["delta"], MAX_ORDER)
+def _expand_price(spec: EtaQuotientSpec, order: int) -> int:
+    """expand's passes in the order it runs them.  A product pass walks the
+    product's live terms against E(q^m)'s nonzero ones, and the live terms
+    multiply until the product is dense on its dilations; a division pass
+    reads, for each coefficient, E(q^m)'s terms below it, each as wide as the
+    quotient so far, whose growth w rises by |e|/m."""
+    price, live, dilation, w = 0, 1, 0, 0.0
+    for m, e in [f for f in spec.factors if f[1] > 0] + [f for f in spec.factors[::-1] if f[1] < 0]:
+        terms = isqrt(8 * ((order - 1) // m) // 3) + 1  # E(q^m)'s below q^order
+        price += abs(e) * _PASS
+        if e < 0:
+            w += -e / m  # priced at the growth halfway through the factor's passes
+            price += -e * order * (2 * terms // 3 + 1) * (_READ + _words(_GROWTH * sqrt((w + e / m / 2) * order)))
+            continue
+        dilation = gcd(dilation, m)
+        growing = min(e, MAX_ORDER.bit_length())  # live is dense after this many passes
+        for _ in range(growing):
+            price += live * terms * (_READ + 1)
+            live = min(order // dilation, live * terms)
+        price += (e - growing) * live * terms * (_READ + 1)
+    return price
+
+
+def _span(i: int, j: int) -> int:
+    """The entries of the row zeta_{i,j}: degrees d_min(i, j) .. max(5i, 2j)."""
+    return max(5 * i, 2 * j) - d_min(i, j) + 1
+
+
+def _bits(i: int, j: int) -> int:
+    """About the widest coefficient of zeta_{i,j}: 3 bits per entry and one
+    per unit of j, since near 5i = 2j the row is short but its coefficients
+    are not (zeta(1537, 4000): 2158 entries of up to 9154 bits)."""
+    return 3 * _span(i, j) + j
+
+
+def _walk_price(i: int, start: int, high: int, bits: float) -> int:
+    """unitize's walk over rows start .. high against kappa^i, multiplying
+    each entry by a coefficient of ``bits``."""
+    top = _span(i, high)
+    return (high - start + 1) * top * (_READ + _words(3 * top) * (_ROW + _words(bits)))
+
+
+def _tower_price(k: int, level: int, low: int, high: int, lift: int) -> int:
+    """Levels level + 1 .. k of a tower whose level spans degrees low .. high,
+    each unitized against kappa^(2^(level - lift)) from the one below (its
+    ladder pair is one step from the last one's, a few percent of the walk).
+    Levels more than 64 above the start, where i passes 2^64, are not priced:
+    the sum is far over BUDGET long before."""
+    price = 0
+    for level in range(level + 1, min(k, level + 64) + 1):
+        i = 1 << (level - lift)
+        price += _walk_price(i, low, high, 3 * (high - low + 1))
+        low, high = d_min(i, low), max(5 * i, 2 * high)
+    return price
+
+
+def _zeta_price(i: int, j: int) -> int:
+    """The ladder from the pair at (i, start), start being j with all but its
+    four leading bits cleared, down to the initial table: each level's pair
+    multiplies two pairs of rows in the kernel, n log n for products of n
+    words, and a level below an odd bit of i builds two pairs.  Then the walk
+    from row start to row j, and the text of its coefficients, whose
+    conversion is quadratic in their words."""
+    start = j >> max(j.bit_length() - 4, 0) << max(j.bit_length() - 4, 0)
+    price = _walk_price(i, start, j, 0) + _span(i, j) * _words(_bits(i, j)) ** 2 * _TEXT
+    for s in range(max(i.bit_length() - 1, start.bit_length())):
+        n = 2 * _span(i >> s, start >> s) * _words(_bits(i >> s, start >> s))
+        price += (4 if i % (1 << s) else 2) * n * n.bit_length() * _KERNEL
+    return price
+
+
+def _spec(args: argparse.Namespace) -> EtaQuotientSpec:
+    return NAMED_SPECS[args.name] if args.name else EtaQuotientSpec.parse(args.spec)
+
+
+def _price(args: argparse.Namespace) -> int:
+    """The predicted big-integer work of a request, in word operations of its
+    dominant loops, from closed forms and before anything runs; main refuses a
+    request over BUDGET.  valuations is priced as phi at its highest --k.  The
+    table commands (pdo, verify, scan) are held to MAX_ORDER alone: the
+    widest table, pdo --max 131071, takes under half of delta's time."""
+    if args.command == "expand":
+        return _expand_price(_spec(args), _limited(args.order or 10))
+    if args.command == "zeta":
+        return _zeta_price(args.i, args.j)
+    if args.command == "lambda":
+        return _tower_price(args.k, 2, 2, 3, 3)
+    if args.command in ("phi", "valuations"):
+        return _tower_price(max(args.k) if args.command == "valuations" else args.k, 3, 14, 24, 1)
+    return 0
+
+
+# the one work budget: what expand --name delta --order 131072 costs
+BUDGET = _expand_price(NAMED_SPECS["delta"], MAX_ORDER)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -143,25 +214,34 @@ def _write(handle, fmt: str, value, header: list[str], rows, plain) -> None:
     rows(), and plain writes the pieces plain() gives; a newline ends json and
     plain, and csv rows end in their own.  Only fmt's thunk is called, and no
     form is built whole before it is written: each piece is one term, one
-    block of report lines or _VALUES_CHUNK values."""
-    if fmt == "csv":
-        import csv  # each output module loads only in its own branch
+    block of report lines or _VALUES_CHUNK values.  The interpreter's
+    int-to-str limit (4300 digits) is lifted while writing: the budget, not
+    the limit, bounds the accepted outputs, whose widest coefficients pass it
+    at the dearest zeta cells (4463 digits at zeta --i 2390 --j 2390)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # CPython 3.10.7 on
+    set_limit = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    set_limit(0)
+    try:
+        if fmt == "csv":
+            import csv  # each output module loads only in its own branch
 
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows())
-        return
-    if fmt == "json":
-        import json
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows())
+            return
+        if fmt == "json":
+            import json
 
-        value = value()
-        if isinstance(value, Iterator):
-            handle.writelines(value)
+            value = value()
+            if isinstance(value, Iterator):
+                handle.writelines(value)
+            else:
+                json.dump(value, handle)
         else:
-            json.dump(value, handle)
-    else:
-        handle.writelines(plain())
-    handle.write("\n")
+            handle.writelines(plain())
+        handle.write("\n")
+    finally:
+        set_limit(limit)
 
 
 def _poly_json(p: XiPoly) -> Iterator[str]:
@@ -176,9 +256,7 @@ def _poly_json(p: XiPoly) -> Iterator[str]:
 
 def _poly_forms(p: XiPoly):
     # zeta --i 1535 --j 0 prints 8.9 MB of plain text (9.0 MB of json),
-    # streamed one term at a time; the dearest cells' widest coefficients have
-    # under 3000 digits (2936 there), so no term meets the interpreter's
-    # int-to-str limit (4300) halfway through the output
+    # streamed one term at a time
     return lambda: _poly_json(p), ["degree", "coefficient"], p.terms, p.str_pieces
 
 
@@ -189,13 +267,7 @@ _VALUES_CHUNK = 512
 def _values_forms(values, order: int):
     # the json text is byte for byte json.dumps({"order": order, "values":
     # [str(v), ...]}); both texts go out _VALUES_CHUNK values at a time, so
-    # pdo --max 131071 never holds its 32 MB of text beside the table.  No
-    # value meets the int-to-str limit (4300) halfway through the output:
-    # PDO(n) < 2^1208 below MAX_ORDER, and every factor E(q^m)^e is majorized
-    # coefficientwise by 1/E(q)^|e|, so by the saddle-point step of the etaq
-    # module docstring an accepted expand's coefficients are below
-    # exp(pi sqrt(2/3 * order * sum |e|)) <= exp(pi sqrt(4 * MAX_ORDER)),
-    # under 1000 digits
+    # pdo --max 131071 never holds its 32 MB of text beside the table
     def pieces(head: str, form, sep: str, tail: str) -> Iterator[str]:
         yield head
         for start in range(0, len(values), _VALUES_CHUNK):
@@ -242,44 +314,25 @@ def _cmd_pdo(args: argparse.Namespace) -> tuple:
 
 
 def _cmd_expand(args: argparse.Namespace) -> tuple:
-    spec = NAMED_SPECS[args.name] if args.name else EtaQuotientSpec.parse(args.spec)
     order = _limited(args.order or 10)
-    passes = sum(abs(e) for _, e in spec.factors)
-    if order * passes > 6 * MAX_ORDER:
-        raise ValueError(
-            f"order {order} times {passes} expansion passes is over the limit {6 * MAX_ORDER}"
-        )
-    terms = _expansion_terms(spec, order)
-    if order * terms > MAX_EXPANSION_PRICE:
-        raise ValueError(
-            f"order {order} times {terms} E(q^m) terms per coefficient"
-            f" is over the limit {MAX_EXPANSION_PRICE}"
-        )
-    return 0, *_values_forms(expand(spec, order).coeffs, order)
-
-
-def _level(args: argparse.Namespace, flag: str = "k") -> int:
-    value, limit = getattr(args, flag), MAX_LEVEL[args.command]
-    if value > limit:
-        raise ValueError(f"--{flag} {value} is over the limit {limit} for {args.command}")
-    return value
+    return 0, *_values_forms(expand(_spec(args), order).coeffs, order)
 
 
 def _cmd_zeta(args: argparse.Namespace) -> tuple:
-    return 0, *_poly_forms(zeta(_level(args, "i"), _level(args, "j")))
+    return 0, *_poly_forms(zeta(args.i, args.j))
 
 
 def _cmd_lambda(args: argparse.Namespace) -> tuple:
-    return 0, *_poly_forms(lambda_poly(_level(args)))
+    return 0, *_poly_forms(lambda_poly(args.k))
 
 
 def _cmd_phi(args: argparse.Namespace) -> tuple:
-    return 0, *_poly_forms(phi_poly(_level(args)))
+    return 0, *_poly_forms(phi_poly(args.k))
 
 
 def _cmd_valuations(args: argparse.Namespace) -> tuple:
     """Rows nu(F_k(tau_k + M)) for each requested odd k; exit 1 on any fail."""
-    reports = [check_f_profile(k) for k in args.k]
+    reports = [check_f_profile(k, max_k=k) for k in args.k]
     return (
         0 if all(r.passed for r in reports) else 1,
         lambda: [r.to_record() for r in reports],
@@ -392,6 +445,11 @@ def main(argv=None) -> int:
         order = getattr(args, "order", None)
         if order is not None and order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
+        price = _price(args)
+        if price > BUDGET:
+            flag = {"expand": "--order", "zeta": "--i or --j"}.get(args.command, "--k")
+            raise ValueError(f"{args.command} is predicted at {price:.3g} work units, over the budget of"
+                             f" {BUDGET:.3g} (expand --name delta --order {MAX_ORDER}); lower {flag}")
         code, *forms = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,7 +148,8 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
     cold on one shared Xeon core with CPython 3.11: about 0.02 s at k = 7,
     0.4-0.5 s at k = 9 and 29 s at k = 11 (phi_poly(10) alone takes 1.5-2.9 s
     and 19 MB), in under 30 MB; each level costs roughly 10x the previous
-    one.  The guard max_k stays 5 until these costs become input budgets.
+    one.  max_k guards library callers; the CLI prices a request with its work
+    budget (cli._price, as phi at the highest k) and then passes max_k=k.
     """
     if k % 2 == 0 or k < 3:
         raise ValueError(f"profile bounds cover odd k >= 3 only, got {k}")

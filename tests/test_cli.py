@@ -15,6 +15,7 @@ from pdocong import (
     FAMILIES,
     EtaQuotientSpec,
     XiPoly,
+    check_f_profile,
     expand,
     lambda_poly,
     pdo_series,
@@ -151,10 +152,13 @@ def test_valuations_empty_list(capsys):
         assert "--k" in capsys.readouterr().err
 
 
-def test_valuations_out_of_range_exits_2(capsys):
-    code, _, err = run_cli(capsys, "valuations", "--k", "7")
+def test_valuations_out_of_range_exits_2(monkeypatch, capsys):
+    # valuations is priced as phi at its highest level: --k 11 is over the
+    # budget, and nothing is built
+    _refuse_tables(monkeypatch)
+    code, _, err = run_cli(capsys, "valuations", "--k", "3", "11")
     assert code == 2
-    assert "computable range" in err
+    assert err == _refusal(["valuations", "--k", "3", "11"])
 
 
 def test_verify_corollary_passes(capsys):
@@ -339,7 +343,7 @@ def _refuse_tables(monkeypatch):
     def refuse(*args):
         raise AssertionError(f"a table was built for a refused request: {args}")
 
-    for name in ("pdo_series", "expand", "lambda_poly", "phi_poly", "zeta"):
+    for name in ("pdo_series", "expand", "lambda_poly", "phi_poly", "zeta", "check_f_profile"):
         monkeypatch.setattr(cli, name, refuse)
 
 
@@ -426,23 +430,60 @@ def test_each_family_level_reaches_its_power_of_two_or_stays_put(family):
         assert max(spec.max_index(1) for spec in specs) >= 2**level or specs == base, level
 
 
+def _refusal(argv):
+    """The budget refusal main prints for argv, from the price that _price gives."""
+    price = cli._price(_build_parser().parse_args(argv))
+    assert price > cli.BUDGET
+    flag = {"expand": "--order", "zeta": "--i or --j"}.get(argv[0], "--k")
+    return (
+        f"error: {argv[0]} is predicted at {price:.3g} work units, over the budget of"
+        f" {cli.BUDGET:.3g} (expand --name delta --order 131072); lower {flag}\n"
+    )
+
+
+def _stand_ins(monkeypatch):
+    """Cheap stand-ins for the builders, recording what each is asked for."""
+    asked = []
+    monkeypatch.setattr(cli, "expand", lambda spec, order: asked.append(order) or expand(EtaQuotientSpec(((1, 1),)), 8))
+    monkeypatch.setattr(cli, "zeta", lambda i, j: asked.append((i, j)) or zeta(1, 2))
+    monkeypatch.setattr(cli, "phi_poly", lambda k: asked.append(k) or phi_poly(3))
+    monkeypatch.setattr(cli, "lambda_poly", lambda k: asked.append(k) or lambda_poly(3))
+    monkeypatch.setattr(cli, "check_f_profile", lambda k, max_k: asked.append((k, max_k)) or check_f_profile(3))
+    return asked
+
+
+def test_the_budget_is_the_price_of_delta_at_the_order_limit():
+    args = _build_parser().parse_args(["expand", "--name", "delta", "--order", "131072"])
+    assert cli.BUDGET == cli._price(args) == cli._expand_price(EtaQuotientSpec.parse("4^1;6^2;1^-1;3^-1;12^-1"), 2**17)
+    # the table commands are held to MAX_ORDER alone
+    for argv in (["pdo", "--max", "131071"], ["scan", "--pairs", "8:2", "--nmax", "100"]):
+        assert cli._price(_build_parser().parse_args(argv)) == 0
+
+
+# The calls that the pass budget refused (order times the passes over the
+# limit 786432).  kappa at 2^17 is still over the one budget; the other four
+# are accepted now (each takes under 5 s cold, see PRICE_TABLE), so their
+# expand is a stand-in here.
 @pytest.mark.parametrize(
-    "argv, order, passes",
+    "argv, code",
     [
-        (["--name", "kappa", "--order", "131072"], 131072, 80),
-        (["--name", "kappa", "--order", "9831"], 9831, 80),
-        (["--name", "gamma", "--order", "26215"], 26215, 30),
-        (["--name", "xi", "--order", "65537"], 65537, 12),
-        (["--spec", "1^-100000"], 10, 100000),
+        pytest.param(["--name", "kappa", "--order", "131072"], 2, id="argv0-131072-80"),
+        pytest.param(["--name", "kappa", "--order", "9831"], 0, id="argv1-9831-80"),
+        pytest.param(["--name", "gamma", "--order", "26215"], 0, id="argv2-26215-30"),
+        pytest.param(["--name", "xi", "--order", "65537"], 0, id="argv3-65537-12"),
+        pytest.param(["--spec", "1^-100000"], 0, id="argv4-10-100000"),
     ],
 )
-def test_oversize_expansions_are_refused_up_front(monkeypatch, capsys, argv, order, passes):
-    _refuse_tables(monkeypatch)
+def test_oversize_expansions_are_refused_up_front(monkeypatch, capsys, argv, code):
+    asked = _stand_ins(monkeypatch)
     start = time.process_time()
-    code, out, err = run_cli(capsys, "expand", *argv)
+    assert run_cli(capsys, "expand", *argv)[0] == code
     assert time.process_time() - start < 0.5
-    assert (code, out) == (2, "")
-    assert err == f"error: order {order} times {passes} expansion passes is over the limit 786432\n"
+    if code:
+        assert asked == []
+        assert run_cli(capsys, "expand", *argv) == (2, "", _refusal(["expand", *argv]))
+    else:
+        assert asked == [int(argv[argv.index("--order") + 1]) if "--order" in argv else 10]
 
 
 @pytest.mark.parametrize(
@@ -450,24 +491,22 @@ def test_oversize_expansions_are_refused_up_front(monkeypatch, capsys, argv, ord
     [("1^-6", 131072, 2172), ("1^6", 131072, 2172), ("1^-6", 85849, 1758), ("2^-3;1^-3", 100000, 1617)],
 )
 def test_expansions_over_the_term_budget_are_refused_up_front(monkeypatch, capsys, spec, order, terms):
-    # within the pass budget, but each pass over E(q^m) reads isqrt(order // m)
-    # terms per coefficient: 6 * 362 for E(q)^-6 at 2^17 against delta's 1150
+    # the calls that the term budget refused (order times terms read per
+    # coefficient over 150732800) are all still over the one budget
     _refuse_tables(monkeypatch)
-    assert order * sum(abs(e) for _, e in EtaQuotientSpec.parse(spec).factors) <= 6 * cli.MAX_ORDER
-    code, out, err = run_cli(capsys, "expand", "--spec", spec, "--order", str(order))
-    assert (code, out) == (2, "")
-    limit = "is over the limit 150732800"
-    assert err == f"error: order {order} times {terms} E(q^m) terms per coefficient {limit}\n"
+    argv = ["expand", "--spec", spec, "--order", str(order)]
+    assert run_cli(capsys, *argv) == (2, "", _refusal(argv))
 
 
 def test_the_expansion_term_limit_is_inclusive(monkeypatch, capsys):
-    orders = []
-    monkeypatch.setattr(cli, "expand", lambda spec, order: orders.append(order) or expand(spec, 8))
-    assert cli.MAX_EXPANSION_PRICE == 131072 * 1150 == 150732800
-    for spec, order in (("1^-6", 85848), ("4^1;6^2;1^-1;3^-1;12^-1", 131072)):
-        assert main(["expand", "--spec", spec, "--order", str(order)]) == 0
-        capsys.readouterr()
-    assert orders == [85848, 131072]
+    # delta by its spec text costs the budget exactly and is accepted; 1^-6 at
+    # 85848, the term budget's dearest accepted call (17-19 s cold), is now
+    # refused
+    asked = _stand_ins(monkeypatch)
+    assert main(["expand", "--spec", "4^1;6^2;1^-1;3^-1;12^-1", "--order", "131072"]) == 0
+    assert main(["expand", "--spec", "1^-6", "--order", "85848"]) == 2
+    assert asked == [131072]
+    assert capsys.readouterr().err == _refusal(["expand", "--spec", "1^-6", "--order", "85848"])
 
 
 def test_the_expansion_pass_limit_is_inclusive(monkeypatch, capsys):
@@ -481,22 +520,47 @@ def test_the_expansion_pass_limit_is_inclusive(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command, k, limit", [("phi", 11, 10), ("lambda", 13, 12)])
 def test_oversize_tower_levels_are_refused_up_front(monkeypatch, capsys, command, k, limit):
+    # the levels that MAX_LEVEL refused: the one above each top level costs
+    # more than four budgets, the top level under half of one
     _refuse_tables(monkeypatch)
-    assert cli.MAX_LEVEL[command] == limit
-    code, out, err = run_cli(capsys, command, "--k", str(k))
-    assert (code, out) == (2, "")
-    assert err == f"error: --k {k} is over the limit {limit} for {command}\n"
+    parser = _build_parser()
+    assert cli._price(parser.parse_args([command, "--k", str(limit)])) < cli.BUDGET / 2
+    assert cli._price(parser.parse_args([command, "--k", str(k)])) > 4 * cli.BUDGET
+    assert run_cli(capsys, command, "--k", str(k)) == (2, "", _refusal([command, "--k", str(k)]))
 
 
+def test_the_tower_refusal_names_the_prediction_the_budget_and_the_flag(monkeypatch, capsys):
+    _refuse_tables(monkeypatch)
+    assert run_cli(capsys, "phi", "--k", "11") == (2, "", (
+        "error: phi is predicted at 2.14e+10 work units, over the budget of 4.22e+09"
+        " (expand --name delta --order 131072); lower --k\n"
+    ))
+    # a level far past the top is refused as fast
+    start = time.process_time()
+    assert run_cli(capsys, "lambda", "--k", "1000000000")[0] == 2
+    assert time.process_time() - start < 0.5
+
+
+# The cells that MAX_LEVEL refused (an index over 1536) cost at most two
+# fifths of the budget and are accepted now: (1537, 4000) has a short row,
+# 5843 .. 8000, and took 2.9 s cold (PRICE_TABLE).
 @pytest.mark.parametrize(
-    "i, j, flag, value", [(1537, 0, "i", 1537), (0, 1537, "j", 1537), (1537, 4000, "i", 1537)]
+    "i, j, code",
+    [
+        pytest.param(1537, 0, 0, id="1537-0-i-1537"),
+        pytest.param(0, 1537, 0, id="0-1537-j-1537"),
+        pytest.param(1537, 4000, 0, id="1537-4000-i-1537"),
+    ],
 )
-def test_oversize_zeta_indices_are_refused_up_front(monkeypatch, capsys, i, j, flag, value):
-    _refuse_tables(monkeypatch)
-    assert cli.MAX_LEVEL["zeta"] == 1536
-    code, out, err = run_cli(capsys, "zeta", "--i", str(i), "--j", str(j))
-    assert (code, out) == (2, "")
-    assert err == f"error: --{flag} {value} is over the limit 1536 for zeta\n"
+def test_oversize_zeta_indices_are_refused_up_front(monkeypatch, capsys, i, j, code):
+    asked = _stand_ins(monkeypatch)
+    argv = ["zeta", "--i", str(i), "--j", str(j)]
+    code_, out, err = run_cli(capsys, *argv)
+    assert code_ == code
+    if code:
+        assert (asked, out, err) == ([], "", _refusal(argv))
+    else:
+        assert asked == [(i, j)]
 
 
 def test_the_zeta_limit_is_inclusive(monkeypatch, capsys):
@@ -506,6 +570,163 @@ def test_the_zeta_limit_is_inclusive(monkeypatch, capsys):
     assert main(["zeta", "--i", "1536", "--j", "1536"]) == 0
     assert cells == [(1536, 1536)]
     assert capsys.readouterr().out == f"{zeta(1, 2)}\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_coefficients_past_the_int_to_str_limit_are_written(monkeypatch, capsys, fmt):
+    # the budget admits zeta cells whose widest coefficients pass the
+    # interpreter's 4300-digit limit (4366 digits at zeta --i 2282 --j 0);
+    # the writer lifts it while it writes and restores it after
+    wide = XiPoly({3: 10**5000, 4: -1})
+    monkeypatch.setattr(cli, "zeta", lambda i, j: wide)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out, err = run_cli(capsys, "zeta", "--i", "2", "--j", "5", "--format", fmt)
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert (code, err) == (0, "")
+    assert "1" + "0" * 5000 in out
+
+
+# Cold cost of CLI calls beside their price: CPU seconds (user + system of the
+# child) and peak RSS in MB, each the median of three rounds of one fresh
+# process per call, output to /dev/null.  Host: one shared "Intel(R) Xeon(R)
+# Processor" core of a 2-vCPU Linux 6.18 guest, CPython 3.11.7, no gmpy2.  The
+# last three expand calls are over the budget and were run with it lifted.
+PRICE_TABLE = [
+    ("expand --name delta --order 131072", 5.508, 44.2),
+    ("expand --name delta --order 32768", 0.681, 20.5),
+    ("expand --name gamma --order 26214", 4.507, 23.1),
+    ("expand --name gamma --order 8192", 0.775, 17.2),
+    ("expand --name xi --order 65536", 4.830, 34.5),
+    ("expand --name xi --order 16384", 0.573, 18.6),
+    ("expand --name kappa --order 9830", 3.160, 17.7),
+    ("expand --name kappa --order 4096", 0.921, 16.6),
+    ("expand --spec 1^-1 --order 131072", 3.957, 38.9),
+    ("expand --spec 1^-6 --order 32768", 2.457, 26.8),
+    ("expand --spec 1^6 --order 65536", 3.016, 27.7),
+    ("expand --spec 1^-24 --order 8192", 1.180, 18.6),
+    ("expand --spec 2^-3;1^-3 --order 50000", 3.407, 33.7),
+    ("expand --spec 1^-48 --order 16384", 8.689, 26.5),
+    ("expand --spec 1^-24 --order 32768", 12.676, 36.7),
+    ("expand --spec 1^-6 --order 85848", 13.830, 59.8),
+    ("phi --k 3", 0.077, 15.4),
+    ("phi --k 7", 0.090, 15.4),
+    ("phi --k 8", 0.112, 16.1),
+    ("phi --k 9", 0.273, 17.0),
+    ("phi --k 10", 1.548, 19.9),
+    ("lambda --k 3", 0.072, 15.4),
+    ("lambda --k 9", 0.075, 15.4),
+    ("lambda --k 11", 0.259, 17.0),
+    ("lambda --k 12", 1.668, 19.8),
+    ("valuations --k 3", 0.077, 15.4),
+    ("valuations --k 5", 0.077, 15.4),
+    ("valuations --k 7", 0.084, 15.5),
+    ("valuations --k 9", 0.240, 16.9),
+    ("zeta --i 2 --j 5", 0.065, 15.4),
+    ("zeta --i 256 --j 427", 0.091, 16.3),
+    ("zeta --i 512 --j 0", 0.171, 19.3),
+    ("zeta --i 1024 --j 0", 0.577, 30.9),
+    ("zeta --i 1535 --j 0", 1.724, 46.4),
+    ("zeta --i 1536 --j 1536", 1.344, 41.6),
+    ("zeta --i 768 --j 768", 0.315, 23.9),
+    ("zeta --i 0 --j 1536", 0.729, 30.7),
+    ("zeta --i 0 --j 3000", 4.075, 68.1),
+    ("zeta --i 2048 --j 0", 2.811, 77.5),
+    ("zeta --i 100 --j 2000", 1.085, 39.2),
+    ("zeta --i 2047 --j 0", 3.569, 86.2),
+    # one run each, the int-to-str limit lifted as the CLI's writer does; all
+    # but the last two are over the budget
+    ("zeta --i 2400 --j 0", 4.860, 82.6),
+    ("zeta --i 2472 --j 0", 5.170, 100.6),
+    ("zeta --i 2898 --j 0", 8.639, 127.5),
+    ("zeta --i 0 --j 3505", 9.107, 96.0),
+    ("zeta --i 0 --j 3600", 6.177, 100.9),
+    ("zeta --i 0 --j 4277", 14.051, 129.8),
+    ("zeta --i 2874 --j 2874", 12.751, 121.4),
+    ("zeta --i 3188 --j 3188", 13.503, 155.5),
+    ("zeta --i 2560 --j 2560", 5.713, 94.6),
+    ("zeta --i 1537 --j 4000", 2.888, 39.7),
+]
+# a cold start alone (phi --k 3 and the like) takes about this much CPU
+START_S = 0.07
+# measured (CPU past the start) over predicted, across every row of at least
+# 0.25 s, stays within this factor: 0.94-2.82 ns a unit on the host above,
+# the least for zeta --i 1024 --j 0 and the most for zeta --i 1537 --j 4000
+PRICE_FACTOR = 3
+
+
+def test_the_price_tracks_the_measured_cost_within_one_factor():
+    parser = _build_parser()
+    rates = []
+    for call, cpu_s, peak_mb in PRICE_TABLE:
+        price = cli._price(parser.parse_args(call.split()))
+        assert peak_mb < 100 or price > cli.BUDGET, call
+        if cpu_s >= 0.25:
+            rates.append((cpu_s - START_S) / price)
+        else:
+            # a call that the interpreter's start dominates is priced small too
+            assert price < cli.BUDGET / 25, call
+    assert len(rates) >= 20
+    assert max(rates) / min(rates) < PRICE_FACTOR
+
+
+@pytest.mark.parametrize("spec, order", [("1^-6", 85848), ("1^-24", 32768), ("1^-48", 16384)])
+def test_fast_growing_specs_are_refused_before_any_work(monkeypatch, capsys, spec, order):
+    # each took 9-14 s cold (PRICE_TABLE) and was accepted by the budgets on
+    # passes and terms read, which do not see the coefficients grow
+    _refuse_tables(monkeypatch)
+    argv = ["expand", "--spec", spec, "--order", str(order)]
+    start = time.process_time()
+    assert run_cli(capsys, *argv) == (2, "", _refusal(argv))
+    assert time.process_time() - start < 0.5
+
+
+def _dearest(template, low, high):
+    """The largest n in [low, high) whose call template.format(n) is priced
+    within the budget, its successor being over it, by bisection on _price;
+    an order over MAX_ORDER counts as over the budget."""
+    parser = _build_parser()
+
+    def accepted(n):
+        try:
+            return cli._price(parser.parse_args(template.format(n).split())) <= cli.BUDGET
+        except ValueError:
+            return False
+
+    assert accepted(low) and not accepted(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if accepted(mid) else (low, mid)
+    return low
+
+
+# each command's dearest accepted call, as _dearest finds it; CI runs each one
+# cold under CPU-time and address-space limits
+DEAREST = [
+    ("expand --name delta --order {}", 1, 131072),
+    ("expand --name gamma --order {}", 1, 31866),
+    ("expand --name xi --order {}", 1, 70346),
+    ("expand --name kappa --order {}", 1, 19264),
+    ("expand --spec 1^-{} --order 10", 1, 636823),
+    ("zeta --i {} --j 0", 0, 2282),
+    ("zeta --i 0 --j {}", 0, 3376),
+    ("zeta --i {0} --j {0}", 0, 2390),
+    ("phi --k {}", 3, 10),
+    ("lambda --k {}", 2, 12),
+    ("valuations --k {}", 3, 10),
+]
+
+
+@pytest.mark.parametrize("template, low, top", DEAREST)
+def test_each_commands_dearest_accepted_call_is_accepted_and_the_next_refused(monkeypatch, capsys, template, low, top):
+    assert _dearest(template, low, 10**9) == top
+    asked = _stand_ins(monkeypatch)
+    assert main(template.format(top).split()) == 0
+    capsys.readouterr()
+    built = len(asked)
+    assert main(template.format(top + 1).split()) == 2
+    assert len(asked) == built
+    err = capsys.readouterr().err
+    assert "over the budget" in err or "over the limit 131072" in err
 
 
 def test_unknown_command_exits_2():

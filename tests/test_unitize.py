@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdocong import XiPoly, d_min, lambda_poly, nu2, phi_poly, series, xipoly, zeta, zeta_initial
 from pdocong.xipoly import ONE, ZERO, unitize
+from tower_digests import assert_phi5_digest
 from zeta_oracle import SparseZeta
 
 GRID = [(i, j) for i in range(12) for j in range(12)]
@@ -173,6 +174,7 @@ def test_pair_cache_is_bounded():
 def test_direct_route_reuses_the_phi_walk_pairs(monkeypatch):
     # phi_4 .. phi_9 and the lambda walk to lambda_11 share six ladder pairs;
     # after the phi tower the direct route builds no pair at all
+    assert_phi5_digest()
     shared = {(8, 0), (16, 26), (32, 52), (64, 104), (128, 208), (256, 416)}
     xipoly._pair.cache_clear()
     phi_poly.cache_clear()
@@ -203,6 +205,7 @@ def test_top_phi_and_lambda_levels_share_one_pair():
     # phi_9 and lambda_11 both unitize against kappa^256 from degree 427, so
     # both start at row 416; the first builds its ladder, one miss per level,
     # and the second takes the pair from the cache
+    assert_phi5_digest()
     top_phi, top_lambda = phi_poly(8), lambda_poly(10)
     assert top_phi.low == top_lambda.low == 427
     xipoly._pair.cache_clear()
@@ -250,6 +253,7 @@ def tower_cells():
 def test_tower_traffic_builds_each_pair_once(monkeypatch, seed):
     # in any order the 32-entry cache holds every level of every ladder the
     # tower reads, so no pair is built twice
+    assert_phi5_digest()
     ops = tower_cells()
     random.Random(seed).shuffle(ops)
     pair, missed = xipoly._pair, []
@@ -347,6 +351,7 @@ def test_floors_hold_on_the_ladder_cells(i):
 def test_floors_hold_on_the_pairs_the_towers_build(monkeypatch):
     # every ladder pair that phi_3 .. phi_9 and the lambda walk to lambda_11
     # start from, and every level below them
+    assert_phi5_digest()
     cells = set()
     pair = xipoly._pair
     monkeypatch.setattr(xipoly, "_pair", lambda i, j: cells.add((i, j)) or pair(i, j))
@@ -569,6 +574,7 @@ def test_the_top_tower_steps_keep_their_bands(bands):
     # the towers' weights climb about two a row; anchoring the bands below a
     # dip at their top would open 16 and 26 here.  Each call adds the bands it
     # opens plus one, its final merge, to the count
+    assert_phi5_digest()
     for p, opened in ((phi_poly(8), 11), (lambda_poly(10), 14)):
         start = bands()
         unitize(p, 256)

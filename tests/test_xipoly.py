@@ -28,6 +28,7 @@ from pdocong import (
 )
 from pdocong.xipoly import ONE, ZERO
 from naive_series import expand_quotient, poly_mul
+from tower_digests import assert_phi5_digest
 from zeta_oracle import sigma_pairs, zeta_combined
 
 LAMBDA_2 = XiPoly({2: 3, 3: -2})
@@ -218,6 +219,7 @@ def test_phi3_printed_polynomial():
 # 15 (lambda) bands at i = 256
 @pytest.mark.parametrize("k", range(3, 10))
 def test_phi_recursive_equals_direct(k):
+    assert_phi5_digest()
     assert phi_poly(k) == phi_poly_direct(k)
 
 
