@@ -18,12 +18,12 @@ import argparse
 import os
 import sys
 from collections.abc import Iterator
-from math import gcd, isqrt, log, pi, sqrt
+from math import gcd, isqrt, log, sqrt
 
 from .congruence import FAMILIES, CongruenceReport, CongruenceSpec, scan, verify
-from .etaq import NAMED_SPECS, EtaQuotientSpec, expand, pdo_series
-from .padic import check_f_profile
-from .xipoly import XiPoly, d_min, lambda_poly, phi_poly, zeta
+from .etaq import _PARTITION_GROWTH, NAMED_SPECS, EtaQuotientSpec, _passes, expand, pdo_series
+from .padic import check_f_profile, tau
+from .xipoly import _LAMBDA_2, XiPoly, _start_row, d_min, lambda_poly, phi_poly, zeta
 
 # Input ranges.  MAX_ORDER bounds every table's size and text.  verify
 # --family pair builds the modulus 2**mod_exp: PDO(n) < 2^1208 for every n
@@ -41,7 +41,7 @@ MAX_MOD_EXP = 4096
 _READ, _PASS, _ROW, _KERNEL, _TEXT = 24, 1500, 8, 12, 4
 # log2 of the q^n coefficient of 1/E(q)^w is below _GROWTH sqrt(w n) (etaq's
 # module docstring)
-_GROWTH = pi * sqrt(2 / 3) / log(2)
+_GROWTH = _PARTITION_GROWTH / log(2)
 
 
 def _words(bits: float) -> int:
@@ -49,13 +49,13 @@ def _words(bits: float) -> int:
 
 
 def _expand_price(spec: EtaQuotientSpec, order: int) -> int:
-    """expand's passes in the order it runs them.  A product pass walks the
-    product's live terms against E(q^m)'s nonzero ones, and the live terms
-    multiply until the product is dense on its dilations; a division pass
-    reads, for each coefficient, E(q^m)'s terms below it, each as wide as the
-    quotient so far, whose growth w rises by |e|/m."""
+    """expand's passes in the order it runs them (etaq._passes).  A product
+    pass walks the product's live terms against E(q^m)'s nonzero ones, and
+    the live terms multiply until the product is dense on its dilations; a
+    division pass reads, for each coefficient, E(q^m)'s terms below it, each
+    as wide as the quotient so far, whose growth w rises by |e|/m."""
     price, live, dilation, w = 0, 1, 0, 0.0
-    for m, e in [f for f in spec.factors if f[1] > 0] + [f for f in spec.factors[::-1] if f[1] < 0]:
+    for m, e in _passes(spec):
         terms = isqrt(8 * ((order - 1) // m) // 3) + 1  # E(q^m)'s below q^order
         price += abs(e) * _PASS
         if e < 0:
@@ -83,36 +83,41 @@ def _bits(i: int, j: int) -> int:
     return 3 * _span(i, j) + j
 
 
-def _walk_price(i: int, start: int, high: int, bits: float) -> int:
-    """unitize's walk over rows start .. high against kappa^i, multiplying
-    each entry by a coefficient of ``bits``."""
+def _walk_price(i: int, rows: int, high: int, width: int) -> int:
+    """rows of unitize's walk against kappa^i up to row high, each built at
+    the span of row high, the widest, and its entries multiplied by a
+    coefficient of about 3 bits per degree of a polynomial ``width`` degrees
+    wide (one word for a row that is built and not multiplied)."""
     top = _span(i, high)
-    return (high - start + 1) * top * (_READ + _words(3 * top) * (_ROW + _words(bits)))
+    return rows * top * (_READ + _words(3 * top) * (_ROW + _words(3 * width)))
 
 
 def _tower_price(k: int, level: int, low: int, high: int, lift: int) -> int:
     """Levels level + 1 .. k of a tower whose level spans degrees low .. high,
-    each unitized against kappa^(2^(level - lift)) from the one below (its
-    ladder pair is one step from the last one's, a few percent of the walk).
-    Levels more than 64 above the start, where i passes 2^64, are not priced:
-    the sum is far over BUDGET long before."""
+    each unitized against kappa^(2^(level - lift)) from the one below: its
+    walk builds rows _start_row(low) .. low - 1 and multiplies rows
+    low .. high (its ladder pair is one step from the last one's, a few
+    percent of the walk).  Levels more than 64 above the start, where i
+    passes 2^64, are not priced: the sum is far over BUDGET long before."""
     price = 0
     for level in range(level + 1, min(k, level + 64) + 1):
         i = 1 << (level - lift)
-        price += _walk_price(i, low, high, 3 * (high - low + 1))
+        price += _walk_price(i, low - _start_row(low), high, 0) + _walk_price(i, high - low + 1, high, high - low + 1)
         low, high = d_min(i, low), max(5 * i, 2 * high)
     return price
 
 
 def _zeta_price(i: int, j: int) -> int:
-    """The ladder from the pair at (i, start), start being j with all but its
-    four leading bits cleared, down to the initial table: each level's pair
-    multiplies two pairs of rows in the kernel, n log n for products of n
-    words, and a level below an odd bit of i builds two pairs.  Then the walk
-    from row start to row j, and the text of its coefficients, whose
-    conversion is quadratic in their words."""
-    start = j >> max(j.bit_length() - 4, 0) << max(j.bit_length() - 4, 0)
-    price = _walk_price(i, start, j, 0) + _span(i, j) * _words(_bits(i, j)) ** 2 * _TEXT
+    """zeta(i, j) = unitize(xi^j, i): the ladder from the pair at
+    (i, start), start = _start_row(j) (0 for j below 16), down to the
+    initial table, each level's pair multiplying two pairs of rows in the
+    kernel, n log n for products of n words, and a level below an odd bit of
+    i building two pairs; then the walk's rows start .. j, and the text of
+    row j's coefficients, whose conversion is quadratic in their words.  So
+    the price is not monotone in either index: it jumps at each odd bit of i
+    and falls where j reaches a new start row."""
+    start = _start_row(j)
+    price = _walk_price(i, j - start + 1, j, 0) + _span(i, j) * _words(_bits(i, j)) ** 2 * _TEXT
     for s in range(max(i.bit_length() - 1, start.bit_length())):
         n = 2 * _span(i >> s, start >> s) * _words(_bits(i >> s, start >> s))
         price += (4 if i % (1 << s) else 2) * n * n.bit_length() * _KERNEL
@@ -134,9 +139,9 @@ def _price(args: argparse.Namespace) -> int:
     if args.command == "zeta":
         return _zeta_price(args.i, args.j)
     if args.command == "lambda":
-        return _tower_price(args.k, 2, 2, 3, 3)
-    if args.command in ("phi", "valuations"):
-        return _tower_price(max(args.k) if args.command == "valuations" else args.k, 3, 14, 24, 1)
+        return _tower_price(args.k, 2, _LAMBDA_2.low, _LAMBDA_2.degree(), 3)
+    if args.command in ("phi", "valuations"):  # phi_3 spans tau(3) .. 3 * 2^3
+        return _tower_price(max(args.k) if args.command == "valuations" else args.k, 3, tau(3), 3 * 2**3, 1)
     return 0
 
 

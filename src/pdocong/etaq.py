@@ -258,6 +258,13 @@ def phi_minus_series(order: int, m: int = 1) -> Series:
     return _sparse(order, m, chain([(0, 1)], tail))
 
 
+def _passes(spec: EtaQuotientSpec) -> Iterator[tuple[int, int]]:
+    """The factors (m, e) of spec in the order expand runs their |e| passes:
+    the products by ascending m, then the divisions by descending m."""
+    yield from ((m, e) for m, e in spec.factors if e > 0)
+    yield from ((m, e) for m, e in reversed(spec.factors) if e < 0)
+
+
 def expand(spec: EtaQuotientSpec, order: int) -> Series:
     """Expand an eta quotient to the requested order, exactly.
 
@@ -274,9 +281,7 @@ def expand(spec: EtaQuotientSpec, order: int) -> Series:
     _check_order(order)
     euler = euler_series(order)
     result = Series.one(order)
-    products = [(m, e) for m, e in spec.factors if e > 0]
-    quotients = [(m, e) for m, e in reversed(spec.factors) if e < 0]
-    for m, e in products + quotients:
+    for m, e in _passes(spec):
         factor = euler.dilate(m)
         if e > 0:
             for _ in range(e):

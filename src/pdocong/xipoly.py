@@ -467,15 +467,24 @@ def _merge(total: list[int], live: list[int], e: int) -> None:
     live.clear()
 
 
+def _start_row(low: int) -> int:
+    """The row where unitize's walk starts for a polynomial of lowest degree
+    low: low with all but its four leading bits cleared, 0 below 16.  The
+    tower's lowest degree about halves from one level to the next (427, 214,
+    107, ...), and so do these start rows (416, 208, 104, ...), so each
+    level's ladder finds the pair below it cached."""
+    shift = low.bit_length() - 4
+    return low >> shift << shift if shift > 0 else 0
+
+
 def unitize(p: XiPoly, i: int) -> XiPoly:
     """U(kappa^i p(xi)) = sum_j c_j zeta_{i,j} for p = sum_j c_j xi^j.
 
-    Walks the floored rows of zeta_{i,j} in j up from the pair at j0, p's
-    lowest degree with all but its four leading bits cleared (0 below 16),
-    two rows live.  Slot t of each accumulator is the coefficient of
-    xi^(base + t), base = d_min(i, p.low), held in units of 2^(2t + E) for
-    the live band's base E: entry M of row j lands in slot t = s_j + M,
-    s_j = d_min(i, j) - base, and _floored holds it in units of
+    Walks the floored rows of zeta_{i,j} in j up from the pair at
+    j0 = _start_row(p.low), two rows live.  Slot t of each accumulator is
+    the coefficient of xi^(base + t), base = d_min(i, p.low), held in units
+    of 2^(2t + E) for the live band's base E: entry M of row j lands in slot
+    t = s_j + M, s_j = d_min(i, j) - base, and _floored holds it in units of
     2^(2M - 1 + stay_j), so times c_j it is an integer times 2^(2t + e_j)
     with e_j = nu_2(c_j) - 1 + stay_j - 2 s_j = nu_2(c_j) - j + 2 base - 1
     - 5i (as 2 d_min(i, j) - stay_j = 5i + j).  So the whole row takes one
@@ -498,10 +507,7 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     """
     if p.is_zero:
         return ZERO
-    # the tower's lowest degree about halves from one level to the next
-    # (427, 214, 107, ...), and so do these start rows (416, 208, 104, ...)
-    shift = p.low.bit_length() - 4
-    j0 = p.low >> shift << shift if shift > 0 else 0
+    j0 = _start_row(p.low)
     base = d_min(i, p.low)
     top = 5 * i // 2
     # a_j = 5i - 2j where that 3-floor holds, else 0 (one test per row), and
@@ -572,10 +578,14 @@ def gamma6_poly() -> XiPoly:
     return XiPoly({10: 59049, 11: -262440, 12: 466560, 13: -414720, 14: 184320, 15: -32768})
 
 
+# lambda_2 = 3 xi^2 - 2 xi^3, the foot of the lambda tower
+_LAMBDA_2 = XiPoly({2: 3, 3: -2})
+
+
 def _lambda_tower() -> Iterator[XiPoly]:
-    """lambda_2, lambda_3, ...: lambda_2 = 3 xi^2 - 2 xi^3, and each further
-    level k unitizes the one below against kappa^{2^{k-3}}."""
-    p = XiPoly({2: 3, 3: -2})
+    """lambda_2, lambda_3, ...: each level k after _LAMBDA_2 unitizes the one
+    below against kappa^{2^{k-3}}."""
+    p = _LAMBDA_2
     for k in count(3):
         yield p
         p = unitize(p, 2 ** (k - 3))

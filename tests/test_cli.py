@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,7 @@ from pdocong import (
     verify_strengthened,
     zeta,
 )
-from pdocong import cli
+from pdocong import cli, xipoly
 from pdocong.cli import _build_parser, main
 from records import congruence_from_record, profile_from_record
 
@@ -63,8 +64,15 @@ def test_values_written_in_pieces_are_the_joined_text(capsys, monkeypatch, max_n
         assert (code, out) == (0, want + "\n")
 
 
-@pytest.mark.parametrize("p", [XiPoly(), XiPoly({0: -7}), XiPoly({3: 5, 4: -20, 5: 16}), zeta(37, 100)])
-def test_poly_json_pieces_are_json_dumps_of_the_records(p):
+# each polynomial is built in the test, so that a fault in zeta fails this
+# test and not the collection of the module
+@pytest.mark.parametrize(
+    "build",
+    [XiPoly, lambda: XiPoly({0: -7}), lambda: XiPoly({3: 5, 4: -20, 5: 16}), lambda: zeta(37, 100)],
+    ids=["p0", "p1", "p2", "p3"],
+)
+def test_poly_json_pieces_are_json_dumps_of_the_records(build):
+    p = build()
     assert "".join(cli._poly_json(p)) == json.dumps(p.to_records())
 
 
@@ -532,7 +540,7 @@ def test_oversize_tower_levels_are_refused_up_front(monkeypatch, capsys, command
 def test_the_tower_refusal_names_the_prediction_the_budget_and_the_flag(monkeypatch, capsys):
     _refuse_tables(monkeypatch)
     assert run_cli(capsys, "phi", "--k", "11") == (2, "", (
-        "error: phi is predicted at 2.14e+10 work units, over the budget of 4.22e+09"
+        "error: phi is predicted at 2.15e+10 work units, over the budget of 4.22e+09"
         " (expand --name delta --order 131072); lower --k\n"
     ))
     # a level far past the top is refused as fast
@@ -680,53 +688,112 @@ def test_fast_growing_specs_are_refused_before_any_work(monkeypatch, capsys, spe
     assert time.process_time() - start < 0.5
 
 
+def _accepted(parser, template, n):
+    """Whether template.format(n) is priced within the budget; an order over
+    MAX_ORDER counts as over it."""
+    try:
+        return cli._price(parser.parse_args(template.format(n).split())) <= cli.BUDGET
+    except ValueError:
+        return False
+
+
 def _dearest(template, low, high):
     """The largest n in [low, high) whose call template.format(n) is priced
     within the budget, its successor being over it, by bisection on _price;
-    an order over MAX_ORDER counts as over the budget."""
+    for the commands whose price rises with n."""
     parser = _build_parser()
-
-    def accepted(n):
-        try:
-            return cli._price(parser.parse_args(template.format(n).split())) <= cli.BUDGET
-        except ValueError:
-            return False
-
-    assert accepted(low) and not accepted(high)
+    assert _accepted(parser, template, low) and not _accepted(parser, template, high)
     while high - low > 1:
         mid = (low + high) // 2
-        low, high = (mid, high) if accepted(mid) else (low, mid)
+        low, high = (mid, high) if _accepted(parser, template, mid) else (low, mid)
     return low
 
 
-# each command's dearest accepted call, as _dearest finds it; CI runs each one
-# cold under CPU-time and address-space limits
+def _scan(template, low):
+    """(largest n, n of the dearest call) among the calls template.format(n)
+    priced within the budget, n from low to twice the first refused one.  The
+    zeta price is not monotone in the indices, so bisection misses both: an
+    odd bit of i doubles a ladder level's products, and the walk from the
+    start row makes the price a sawtooth in j."""
+    parser = _build_parser()
+    first = next(n for n in count(low) if not _accepted(parser, template, n))
+    prices = {n: cli._price(parser.parse_args(template.format(n).split())) for n in range(low, 2 * first + 1)}
+    accepted = [n for n, price in prices.items() if price <= cli.BUDGET]
+    return max(accepted), max(accepted, key=prices.get)
+
+
+# each command's largest accepted n and dearest accepted call, as _dearest
+# finds them (one n: the price rises with n) or, for zeta, _scan; CI runs each
+# call cold under CPU-time and address-space limits
 DEAREST = [
-    ("expand --name delta --order {}", 1, 131072),
-    ("expand --name gamma --order {}", 1, 31866),
-    ("expand --name xi --order {}", 1, 70346),
-    ("expand --name kappa --order {}", 1, 19264),
-    ("expand --spec 1^-{} --order 10", 1, 636823),
-    ("zeta --i {} --j 0", 0, 2282),
-    ("zeta --i 0 --j {}", 0, 3376),
-    ("zeta --i {0} --j {0}", 0, 2390),
-    ("phi --k {}", 3, 10),
-    ("lambda --k {}", 2, 12),
-    ("valuations --k {}", 3, 10),
+    ("expand --name delta --order {}", 1, 131072, 131072),
+    ("expand --name gamma --order {}", 1, 31866, 31866),
+    ("expand --name xi --order {}", 1, 70346, 70346),
+    ("expand --name kappa --order {}", 1, 19264, 19264),
+    ("expand --spec 1^-{} --order 10", 1, 636823, 636823),
+    ("zeta --i {} --j 0", 0, 2392, 2281),
+    ("zeta --i 0 --j {}", 0, 3376, 3006),
+    ("zeta --i {0} --j {0}", 0, 2600, 2406),
+    ("phi --k {}", 3, 10, 10),
+    ("lambda --k {}", 2, 12, 12),
+    ("valuations --k {}", 3, 10, 10),
 ]
 
 
-@pytest.mark.parametrize("template, low, top", DEAREST)
-def test_each_commands_dearest_accepted_call_is_accepted_and_the_next_refused(monkeypatch, capsys, template, low, top):
-    assert _dearest(template, low, 10**9) == top
+@pytest.mark.parametrize("template, low, top, dearest", DEAREST)
+def test_each_commands_dearest_accepted_call_is_accepted_and_the_next_refused(
+    monkeypatch, capsys, template, low, top, dearest
+):
+    if template.startswith("zeta"):
+        assert _scan(template, low) == (top, dearest)
+    else:
+        assert _dearest(template, low, 10**9) == top == dearest
     asked = _stand_ins(monkeypatch)
-    assert main(template.format(top).split()) == 0
+    for n in (top, dearest):
+        assert main(template.format(n).split()) == 0
     capsys.readouterr()
     built = len(asked)
     assert main(template.format(top + 1).split()) == 2
     assert len(asked) == built
     err = capsys.readouterr().err
     assert "over the budget" in err or "over the limit 131072" in err
+
+
+def test_a_zeta_cell_is_priced_from_the_row_its_walk_starts_at(monkeypatch, capsys):
+    # below j = 16 the walk starts at row 0, not at row j: zeta --i 2281 --j 0
+    # is the dearest accepted cell with j = 0, and j = 1 adds a row to its walk
+    asked = _stand_ins(monkeypatch)
+    assert main(["zeta", "--i", "2281", "--j", "0"]) == 0
+    assert asked == [(2281, 0)]
+    capsys.readouterr()
+    argv = ["zeta", "--i", "2281", "--j", "1"]
+    assert run_cli(capsys, *argv) == (2, "", _refusal(argv))
+    assert asked == [(2281, 0)]
+
+
+def test_the_walk_is_priced_from_the_row_unitize_starts_at(monkeypatch):
+    # unitize opens its walk with _floored_rows(i, j0); the price reads j0
+    # from the same _start_row, for every p.low of 0..40 and for a tower step
+    walked, priced = [], []
+    floored_rows = xipoly._floored_rows
+    monkeypatch.setattr(xipoly, "_floored_rows", lambda i, j: walked.append(j) or floored_rows(i, j))
+    monkeypatch.setattr(cli, "_start_row", lambda low: priced.append(xipoly._start_row(low)) or priced[-1])
+    parser = _build_parser()
+    for low in range(41):
+        zeta(3, low)
+        cli._price(parser.parse_args(["zeta", "--i", "3", "--j", str(low)]))
+    assert walked == priced == [xipoly._start_row(low) for low in range(41)]
+    # row 0 below 16, then all but the four leading bits of low cleared
+    assert [walked[low] for low in (1, 15, 16, 17, 31, 32, 35, 36, 40)] == [0, 0, 16, 16, 30, 32, 32, 36, 40]
+    # phi_6 = unitize(phi_5, 32), the last of the levels 4, 5, 6 that phi
+    # --k 6 prices
+    p = phi_poly(5)
+    walked.clear()
+    priced.clear()
+    xipoly.unitize(p, 32)
+    cli._price(parser.parse_args(["phi", "--k", "6"]))
+    assert len(priced) == 3
+    assert walked == priced[-1:] == [xipoly._start_row(p.low)]
 
 
 def test_unknown_command_exits_2():

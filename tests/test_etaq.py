@@ -10,6 +10,7 @@ from pdocong import (
     XI,
     EtaQuotientSpec,
     Series,
+    cli,
     delta_series,
     etaq,
     euler_series,
@@ -79,6 +80,26 @@ def test_expand_xi_matches_oracle():
 def test_expand_all_named_specs_match_oracle():
     for spec in (DELTA, GAMMA, XI, KAPPA):
         assert list(expand(spec, 30)) == expand_quotient(spec.factors, 30)
+
+
+def test_expand_runs_its_passes_in_the_order_of_the_pass_plan(monkeypatch):
+    # products by ascending m, then divisions by descending m: each factor's
+    # dilation of E(q), then its |e| passes; cli._expand_price prices the
+    # same plan
+    spec = EtaQuotientSpec.parse("2^3;1^-2;4^1;3^-1")
+    assert list(etaq._passes(spec)) == [(2, 3), (4, 1), (3, -1), (1, -2)]
+    planned = []
+    monkeypatch.setattr(cli, "_passes", lambda spec: planned.append(spec) or etaq._passes(spec))
+    cli._expand_price(spec, 30)
+    assert planned == [spec]
+    ran = []
+    dilate, mul, div = Series.dilate, Series.__mul__, Series.div
+    monkeypatch.setattr(Series, "dilate", lambda self, m: ran.append(m) or dilate(self, m))
+    monkeypatch.setattr(Series, "__mul__", lambda self, other: ran.append("*") or mul(self, other))
+    monkeypatch.setattr(Series, "div", lambda self, other: ran.append("/") or div(self, other))
+    got = list(expand(spec, 30))
+    assert ran == [step for m, e in etaq._passes(spec) for step in [m] + ["*" if e > 0 else "/"] * abs(e)]
+    assert got == expand_quotient(spec.factors, 30)
 
 
 def test_expand_rejects_bad_order():
