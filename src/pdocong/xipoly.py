@@ -101,9 +101,10 @@ divides exactly: every row j in the sum has D < T_j, so its term carries
 the slot units leave the powers of 3 alone.  The tails add into the first
 accumulator as they are.
 
-The ladder's products run on 4-adically scaled operands,
-a = 2^s xi^d A(4 xi) with s = min over M of nu_2(a_M) - 2M
-(_ladder_product), so the kernel multiplies entries about half as wide.
+The ladder multiplies zeta rows in the walk's format too: _ladder_product
+floors both operands through _floored (head 0, so by their powers of 2
+only), which checks every entry against the lemma, and multiplies the
+floored rows, whose entries are about half as wide as the row's.
 On top of it sit two towers:
 lambda_poly(k) represents the slice gamma^{2^{k-2}} * sum PDO(2^k n) q^n, and
 phi_poly(k) the internal difference gamma^{2^k} * sum (PDO(2^{k+2} n) - PDO(2^k n))
@@ -116,8 +117,7 @@ unitization.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import count, islice
-from math import comb
+from itertools import accumulate, count, islice
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .etaq import xi_series
@@ -373,8 +373,11 @@ def _floored_rows(i: int, j: int) -> Iterator[tuple[int, list[int]]]:
 
 
 def _sigma_power(shift: int, d: int) -> XiPoly:
-    """xi^shift * (9 - 8 xi)^d, the binomial coefficients in closed form."""
-    return XiPoly._row(shift, [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)])
+    """xi^shift * (9 - 8 xi)^d, each binomial term from the one before:
+    term k is comb(d, k) 9^(d - k) (-8)^k, and term k + 1 is term k times
+    -8 (d - k), which 9 (k + 1) then divides exactly."""
+    terms = accumulate(range(d), lambda t, k: t * (-8 * (d - k)) // (9 * (k + 1)), initial=9**d)
+    return XiPoly._row(shift, list(terms))
 
 
 def _times_power_of_two(c: int, e: int) -> int:
@@ -382,29 +385,27 @@ def _times_power_of_two(c: int, e: int) -> int:
     return c << e if e >= 0 else c >> -e
 
 
-def _four_adic(a: XiPoly) -> tuple[int, list[int]]:
-    """(s, A) with a = 2^s xi^low A(4 xi): s = min over M of nu_2(a_M) - 2M,
-    so every entry of A is an integer."""
-    s = min((c & -c).bit_length() - 1 - 2 * m for m, c in enumerate(a.coeffs) if c)
-    return s, [_times_power_of_two(c, -s - 2 * m) for m, c in enumerate(a.coeffs)]
+def _ladder_product(a: XiPoly, cell_a: tuple[int, int], b: XiPoly, cell_b: tuple[int, int]) -> XiPoly:
+    """2 a b for the zeta rows a at cell_a = (i, j) and b at cell_b, multiplied
+    on their floored rows.
 
-
-def _ladder_product(a: XiPoly, b: XiPoly, e: int = 0) -> XiPoly:
-    """2^e a b, multiplied on the 4-adically scaled rows.
-
-    With a = 2^s xi^d A(4 xi) and b = 2^t xi^d' B(4 xi), the coefficient of
-    xi^(d + d' + N) is 2^(e + s + t + 2N) (AB)_N, an integer whatever the
-    floors are; A and B are about half as wide as a and b.  When ``b is a``
-    the one scaled row goes to the kernel twice, so it is packed once.
+    _floored(row, d_min(i, j), stay, 0) holds entry M of a row in units of
+    2^(2M - 1 + stay), entry 0 included, so entry n of 2 a b above
+    d_min(cell_a) + d_min(cell_b) is 2^(stay_a + stay_b - 1 + 2n) times entry
+    n of the floored rows' product (at n = 0 on two rows that are not stay
+    rows that entry holds 4 a_0 b_0, and the shift of -1 halves it).  Both
+    operands pass _floored's check, so a broken ladder level raises
+    ArithmeticError naming the offset and base there.  When ``b is a`` the
+    one floored row goes to the kernel twice, so it is packed once.
     """
-    if not (a.coeffs and b.coeffs):
-        return ZERO
-    s, big_a = _four_adic(a)
-    t, big_b = (s, big_a) if b is a else _four_adic(b)
-    e += s + t
+    (i_a, j_a), (i_b, j_b) = cell_a, cell_b
+    stay_a, stay_b = (5 * i_a + j_a) & 1 == 1, (5 * i_b + j_b) & 1 == 1
+    big_a = _floored(a, d_min(i_a, j_a), stay_a, 0)
+    big_b = big_a if b is a else _floored(b, d_min(i_b, j_b), stay_b, 0)
     product = _product(big_a, big_b, len(big_a) + len(big_b) - 1)
+    e = stay_a + stay_b - 1
     back = [_times_power_of_two(x, e + 2 * n) for n, x in enumerate(product)]
-    return XiPoly._row(a.low + b.low, back)
+    return XiPoly._row(d_min(i_a, j_a) + d_min(i_b, j_b), back)
 
 
 # every level of every ladder is kept: one tower iteration (phi_3 .. phi_9,
@@ -430,8 +431,11 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
     _pair(c, g) and, for odd i, _pair(c + 1, g).  The recursion ends at
     i <= 1, j = 0, in the initial table.  unitize's start rows halve with i,
     so a tower level's ladder finds the one below it in the cache and takes
-    one step.  Every product runs through _ladder_product; for even i both
-    factors of a square are the same cached row, so it is packed once.
+    one step.  Both zeta factors of each cell go through _ladder_product,
+    which multiplies their floored rows and so checks each against the
+    floor lemma; for even i both factors of a square are the same cached
+    row, so it is floored and packed once.  The cross term's right factor
+    has at most three terms, so it is a plain product.
     """
     init = zeta_initial()
     if i <= 1 and not j:
@@ -444,8 +448,8 @@ def _pair(i: int, j: int) -> tuple[XiPoly, XiPoly]:
     def cell(n: int) -> XiPoly:
         d = n >> 1
         b = n - d
-        sigma = _sigma_power(5 * c + d, d)
-        return _ladder_product(highs[b - g], lows[d - g], 1) - _ladder_product(sigma, init[r, b - d])
+        cross = _sigma_power(5 * c + d, d) * init[r, b - d]
+        return _ladder_product(highs[b - g], (c + r, b), lows[d - g], (c, d)) - cross
 
     return cell(j), cell(j + 1)
 
@@ -624,7 +628,7 @@ def phi_poly_direct(k: int) -> XiPoly:
     both levels from one walk up the lambda tower.
 
     gamma^6 = xi^5 sigma_{xi,2}^5 = xi^10 (9 - 8 xi)^5, so its power e is
-    _sigma_power(10 e, 5 e), the binomial coefficients in closed form.
+    _sigma_power(10 e, 5 e), one binomial row.
     """
     if k < 3:
         raise ValueError(f"phi tower starts at k=3, got {k}")

@@ -551,7 +551,7 @@ def test_the_tower_refusal_names_the_prediction_the_budget_and_the_flag(monkeypa
 
 # The cells that MAX_LEVEL refused (an index over 1536) cost at most two
 # fifths of the budget and are accepted now: (1537, 4000) has a short row,
-# 5843 .. 8000, and took 2.9 s cold (PRICE_TABLE).
+# 5843 .. 8000, and took 1.6 s cold (PRICE_TABLE).
 @pytest.mark.parametrize(
     "i, j, code",
     [
@@ -634,31 +634,31 @@ PRICE_TABLE = [
     ("zeta --i 512 --j 0", 0.171, 19.3),
     ("zeta --i 1024 --j 0", 0.577, 30.9),
     ("zeta --i 1535 --j 0", 1.724, 46.4),
-    ("zeta --i 1536 --j 1536", 1.344, 41.6),
+    ("zeta --i 1536 --j 1536", 1.404, 41.3),
     ("zeta --i 768 --j 768", 0.315, 23.9),
-    ("zeta --i 0 --j 1536", 0.729, 30.7),
-    ("zeta --i 0 --j 3000", 4.075, 68.1),
+    ("zeta --i 0 --j 1536", 0.648, 30.8),
+    ("zeta --i 0 --j 3000", 3.998, 68.2),
     ("zeta --i 2048 --j 0", 2.811, 77.5),
-    ("zeta --i 100 --j 2000", 1.085, 39.2),
+    ("zeta --i 100 --j 2000", 1.106, 36.6),
     ("zeta --i 2047 --j 0", 3.569, 86.2),
-    # one run each, the int-to-str limit lifted as the CLI's writer does; all
-    # but the last two are over the budget
+    ("zeta --i 2560 --j 2560", 4.822, 82.3),
+    ("zeta --i 1537 --j 4000", 1.577, 38.9),
+    # one run each, over the budget and run with it lifted
     ("zeta --i 2400 --j 0", 4.860, 82.6),
     ("zeta --i 2472 --j 0", 5.170, 100.6),
     ("zeta --i 2898 --j 0", 8.639, 127.5),
-    ("zeta --i 0 --j 3505", 9.107, 96.0),
-    ("zeta --i 0 --j 3600", 6.177, 100.9),
-    ("zeta --i 0 --j 4277", 14.051, 129.8),
-    ("zeta --i 2874 --j 2874", 12.751, 121.4),
-    ("zeta --i 3188 --j 3188", 13.503, 155.5),
-    ("zeta --i 2560 --j 2560", 5.713, 94.6),
-    ("zeta --i 1537 --j 4000", 2.888, 39.7),
+    ("zeta --i 0 --j 3505", 5.394, 96.0),
+    ("zeta --i 0 --j 3600", 4.836, 96.8),
+    ("zeta --i 0 --j 4277", 9.464, 127.3),
+    ("zeta --i 2874 --j 2874", 8.752, 121.3),
+    ("zeta --i 3188 --j 3188", 10.580, 155.6),
 ]
 # a cold start alone (phi --k 3 and the like) takes about this much CPU
 START_S = 0.07
 # measured (CPU past the start) over predicted, across every row of at least
-# 0.25 s, stays within this factor: 0.94-2.82 ns a unit on the host above,
-# the least for zeta --i 1024 --j 0 and the most for zeta --i 1537 --j 4000
+# 0.25 s, stays within this factor: 0.89-2.31 ns a unit on the host above,
+# the least for zeta --i 0 --j 3505 and the most for expand --name kappa
+# --order 4096
 PRICE_FACTOR = 3
 
 

@@ -228,7 +228,7 @@ def test_ladder_recurses_through_the_halves(monkeypatch):
 
 def test_ladder_takes_one_step_from_the_cached_half(monkeypatch):
     # with (128, 208) cached, (256, 416) is one doubling step: two rows, each
-    # 2 zeta zeta minus a sigma term, so four ladder products
+    # 2 zeta zeta minus a sigma term, so two zeta-by-zeta ladder products
     xipoly._pair.cache_clear()
     xipoly._pair(128, 208)
     misses = xipoly._pair.cache_info().misses
@@ -236,7 +236,7 @@ def test_ladder_takes_one_step_from_the_cached_half(monkeypatch):
     product = xipoly._ladder_product
     monkeypatch.setattr(xipoly, "_ladder_product", lambda *args: calls.append(1) or product(*args))
     xipoly._pair(256, 416)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert xipoly._pair.cache_info().misses == misses + 1
 
 
@@ -419,28 +419,33 @@ def test_floored_row_rejects_the_other_rule():
         xipoly._floored(zeta(0, 2), 1, False, 2)
 
 
-# integer polynomials: small odd coefficients give s < 0, 2-adic ones s > 0
-ladder_terms = st.dictionaries(
-    st.integers(0, 30),
-    st.integers(-9, 9) | two_adic,
-    max_size=8,
-)
+# a cell from every class (i mod 4, j mod 4), the classes that decide the
+# floor lemma: stay rows and other rows, with both offset-1 rules
+LADDER_CELLS = [(i, j) for i in range(4, 8) for j in range(9, 13)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(ladder_terms, ladder_terms, st.integers(0, 3))
-def test_ladder_product_is_the_ring_product(a, b, e):
-    pa, pb = XiPoly(a), XiPoly(b)
-    assert xipoly._ladder_product(pa, pb, e) == (pa * pb) * 2**e
-    # the squaring path hands one scaled row to the kernel twice
-    assert xipoly._ladder_product(pa, pa, e) == (pa * pa) * 2**e
+def test_ladder_product_is_the_ring_product():
+    rows = {cell: zeta(*cell) for cell in LADDER_CELLS}
+    for cell_a, a in rows.items():
+        # the squaring path floors one row and hands it to the kernel twice
+        assert xipoly._ladder_product(a, cell_a, a, cell_a) == a * a * 2
+        for cell_b, b in rows.items():
+            assert xipoly._ladder_product(a, cell_a, b, cell_b) == a * b * 2, (cell_a, cell_b)
 
 
-def test_ladder_product_scales_below_zero():
-    # 3 + 2 xi: nu_2 - 2M is 0 at M = 0 and -1 at M = 1, so s = -1
-    p = XiPoly({0: 3, 1: 2})
-    assert xipoly._four_adic(p) == (-1, [6, 1])
-    assert xipoly._ladder_product(p, p) == p * p
+@pytest.mark.parametrize("row", [0, 1])
+def test_a_broken_ladder_level_raises_at_that_level(monkeypatch, row):
+    # add 1 to the even offset-1 coefficient of one row of the pair at
+    # (128, 208), flipping bit 0, under its 2-adic floor (1 on row 208, not a
+    # stay row; 2 on row 209); the step to (256, 416), built uncached,
+    # multiplies both rows and stops at the flip
+    pair = xipoly._pair
+    rows = list(pair(128, 208))
+    base = d_min(128, 208 + row)
+    rows[row] += XiPoly({base + 1: 1})
+    monkeypatch.setattr(xipoly, "_pair", lambda i, j: tuple(rows) if (i, j) == (128, 208) else pair(i, j))
+    with pytest.raises(ArithmeticError, match=f"offset 1 above degree {base}: valuation 0 below floor {1 + row}"):
+        pair.__wrapped__(256, 416)
 
 
 def test_unitize_accumulates_from_the_first_row_base(monkeypatch):

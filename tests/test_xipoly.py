@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -597,6 +598,14 @@ def test_poly_to_series_is_ring_homomorphism(a):
 def test_gamma6_is_a_sigma_power():
     # gamma^6 = xi^5 sigma_{xi,2}^5 = xi^10 (9 - 8 xi)^5
     assert gamma6_poly() == xipoly._sigma_power(10, 5)
+
+
+@pytest.mark.parametrize("shift", [0, 7, 1024])
+def test_sigma_powers_by_their_ratio_recurrence_are_the_binomial_rows(shift):
+    # _sigma_power builds term k + 1 from term k; the closed form builds each
+    for d in range(301):
+        closed = [comb(d, t) * 9 ** (d - t) * (-8) ** t for t in range(d + 1)]
+        assert xipoly._sigma_power(shift, d) == XiPoly._row(shift, closed), d
 
 
 @pytest.mark.parametrize("k", range(3, 10))
