@@ -145,10 +145,11 @@ def check_f_profile(k: int, max_k: int = 5) -> ProfileReport:
 
     Verifies vanishing below tau(k), nu(F_k(tau_k)) >= 2K+3, and
     nu(F_k(tau_k + M)) >= 2K+M+2 for every further coefficient.  Measured
-    cold on one shared Xeon core with CPython 3.11: about 0.02 s at k = 7,
-    0.4-0.5 s at k = 9 and 29 s at k = 11 (phi_poly(10) alone takes 1.5-2.9 s
-    and 19 MB), in under 30 MB; each level costs roughly 10x the previous
-    one.  max_k guards library callers; the CLI prices a request with its work
+    cold, one process per call, on one shared Xeon core with CPython 3.11:
+    0.01-0.04 s at k = 7, 0.24-0.33 s at k = 9 and 24 s at k = 11
+    (phi_poly(10) alone takes 2.1-2.8 s and 19 MB), at 15, 16 and 28 MB peak
+    RSS; each level costs roughly 10x the previous one.  max_k guards
+    library callers; the CLI prices a request with its work
     budget (cli._price, as phi at the highest k) and then passes max_k=k.
     """
     if k % 2 == 0 or k < 3:

@@ -380,8 +380,11 @@ def _sigma_power(shift: int, d: int) -> XiPoly:
     return XiPoly._row(shift, list(terms))
 
 
-def _times_power_of_two(c: int, e: int) -> int:
-    """c * 2^e; for e < 0, exact only when 2^-e divides c."""
+def _times_power_of_two(c: int, e: int, slot: int = 0) -> int:
+    """c * 2^e, checked: for e < 0 raises ArithmeticError naming ``slot`` and
+    e unless 2^-e divides c."""
+    if e < 0 and c & ((1 << -e) - 1):
+        raise ArithmeticError(f"slot {slot}: valuation {(c & -c).bit_length() - 1} too low to scale by 2^{e}")
     return c << e if e >= 0 else c >> -e
 
 
@@ -404,7 +407,7 @@ def _ladder_product(a: XiPoly, cell_a: tuple[int, int], b: XiPoly, cell_b: tuple
     big_b = big_a if b is a else _floored(b, d_min(i_b, j_b), stay_b, 0)
     product = _product(big_a, big_b, len(big_a) + len(big_b) - 1)
     e = stay_a + stay_b - 1
-    back = [_times_power_of_two(x, e + 2 * n) for n, x in enumerate(product)]
+    back = [_times_power_of_two(x, e + 2 * n, n) for n, x in enumerate(product)]
     return XiPoly._row(d_min(i_a, j_a) + d_min(i_b, j_b), back)
 
 
@@ -497,17 +500,15 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     m_j = (c / 3^a_j) 3^(A_j - A*) (module docstring), and each entry costs
     one multiply and one add.  A row with e_j outside [E, E + _BAND) merges
     the live band into running totals held in units of 2^(2t + e0), e0 the
-    least e_j, and opens a new band at E = e_j, or at
-    E = max(e0, e_j - _BAND + 1) for a row below the live band when the
-    weights fall from the first row to the last, so that weights falling one
-    per row (all c_j odd) open one band per _BAND rows; the first band opens
-    at e0.
+    least e_j, and opens a new band at E = e_j; the first band opens at e0.
 
     Exact: every contribution to slot t carries 2^(2t + e_j) and
     e0 <= E <= e_j, so every stored value is an integer, and the final shift
     by 2t + e0 is exact where it divides, since it yields an integer
     coefficient.  Scaling by powers of 2 leaves the powers of 3 alone, so the
-    heads' restoration by 3^(A* - 2D) still divides exactly.
+    heads' restoration by 3^(A* - 2D) still divides exactly.  Both divisions
+    are checked: one that leaves a remainder raises ArithmeticError naming
+    the slot and the exponent.
     """
     if p.is_zero:
         return ZERO
@@ -519,16 +520,9 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     tower_floors = count(5 * i - 2 * p.low, -2)
     floors = [a if a > 0 and not c % 3**a else 0 for a, c in zip(tower_floors, p.coeffs)]
     a_star = min(2 * (j + top) + a for j, a, c in zip(count(p.low), floors, p.coeffs) if c)
-    # e_j = nu_2(c_j) - j + lift
+    # e_j = nu_2(c_j) - j + lift, and e0 the least e_j
     lift = 2 * base - 1 - 5 * i
-    weights = [(c & -c).bit_length() - 1 - j + lift for j, c in zip(count(p.low), p.coeffs) if c]
-    e0 = band = min(weights)
-    # weights that fall over the rows (one a row when every c_j is odd) open
-    # a band below the live one with the row at its top, so that the next
-    # rows fit; climbing weights (the towers', about two a row) with the row
-    # at its bottom, where a top-anchored band costs the phi_9 step 16 bands
-    # against 11 and lambda_11's 26 against 14
-    falling = weights[-1] < weights[0]
+    e0 = band = min((c & -c).bit_length() - 1 - j + lift for j, c in zip(count(p.low), p.coeffs) if c)
     acc: list[int] = []  # the live band's tails: acc[t] in units of 2^(2t + band)
     heads: list[int] = []  # its heads, each times 3^(2(base + t) - A*)
     tail_total: list[int] = []  # the closed bands, in units of 2^(2t + e0)
@@ -541,7 +535,7 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
             if not band <= e < band + _BAND:
                 _merge(tail_total, acc, band - e0)
                 _merge(head_total, heads, band - e0)
-                band = max(e0, e - _BAND + 1) if falling and e < band else e
+                band = e
             c >>= v
             s, n = low - base, len(row)
             h = min(max(j + top - low, 0), n)
@@ -555,17 +549,20 @@ def unitize(p: XiPoly, i: int) -> XiPoly:
     _merge(tail_total, acc, band - e0)
     _merge(head_total, heads, band - e0)
     # coefficient t is tail_total[t] + head_total[t] 3^(A* - 2(base + t)), a
-    # multiply or an exact division, then times 2^(2t + e0); in place, so no
-    # second list of coefficients is alive (the phi_9 step's traced peak is
-    # 0.56 MB this way, 0.77 MB with the live band and a scaled copy kept)
+    # multiply or a checked exact division, then times 2^(2t + e0); in place,
+    # so no second list of coefficients is alive (the phi_9 step's traced peak
+    # is 0.56 MB this way, 0.77 MB with the live band and a scaled copy kept)
     e = a_star - 2 * base
     for t, x in enumerate(head_total):
         if x:
+            if e < 0 and x % 3**-e:
+                v = next(v for v in count() if x % 3 ** (v + 1))
+                raise ArithmeticError(f"slot {t}: 3-adic valuation {v} too low to scale by 3^{e}")
             tail_total[t] += x * 3**e if e >= 0 else x // 3**-e
         e -= 2
     head_total.clear()
     for t, x in enumerate(tail_total):
-        tail_total[t] = _times_power_of_two(x, 2 * t + e0)
+        tail_total[t] = _times_power_of_two(x, 2 * t + e0, t)
     return XiPoly._row(base, tail_total)
 
 

@@ -448,6 +448,35 @@ def test_a_broken_ladder_level_raises_at_that_level(monkeypatch, row):
         pair.__wrapped__(256, 416)
 
 
+def test_scaling_back_by_a_power_of_two_is_checked():
+    assert xipoly._times_power_of_two(4, -2) == 1
+    assert xipoly._times_power_of_two(-12, -2) == -3
+    assert xipoly._times_power_of_two(3, 2) == 12
+    with pytest.raises(ArithmeticError, match=r"slot 0: valuation 0 too low to scale by 2\^-1"):
+        xipoly._times_power_of_two(3, -1)
+    with pytest.raises(ArithmeticError, match=r"slot 7: valuation 1 too low to scale by 2\^-2"):
+        xipoly._times_power_of_two(6, -2, 7)
+
+
+def test_a_ladder_without_the_doubled_entry_0_raises(monkeypatch):
+    # _floored holds entry 0 of a row that is not a stay row doubled; without
+    # that, the square of such a row, (128, 208), has an odd entry 0, which
+    # the step to (256, 416), built uncached, scales by 2^-1
+    pair, floored = xipoly._pair, xipoly._floored
+    rows = pair(128, 208)
+
+    def undoubled(row, base, stay, head):
+        out = floored(row, base, stay, head)
+        if not stay:
+            out[0] >>= 1
+        return out
+
+    monkeypatch.setattr(xipoly, "_floored", undoubled)
+    monkeypatch.setattr(xipoly, "_pair", lambda i, j: rows)
+    with pytest.raises(ArithmeticError, match=r"slot 0: valuation 0 too low to scale by 2\^-1"):
+        pair.__wrapped__(256, 416)
+
+
 def test_unitize_accumulates_from_the_first_row_base(monkeypatch):
     # the accumulator spans d_min(i, p.low) .. the top degree, not 0 .. the top
     p = phi_poly(6)
@@ -551,15 +580,12 @@ def test_odd_coefficients_over_many_rows_shift_right_at_the_end(oracle, i):
 
 
 @pytest.mark.parametrize("size", [200, 400])
-def test_falling_weights_open_one_band_per_band_width(oracle, bands, size):
-    # with every c_j odd the weight drops by one per row: the first row opens
-    # a band at its own weight, and each row below the live band opens the
-    # next with itself at the top, so the walk opens about one band per
-    # _BAND rows rather than one per row
+def test_falling_weights_over_many_rows(oracle, size):
+    # with every c_j odd the weight drops by one per row: each row below the
+    # live band opens the next at its own weight, like any row outside it
     low, i = 20, 64
     p = XiPoly({j: 2 * j + 1 for j in range(low, low + size)})
     assert unitize(p, i) == oracle.unitize(p, i)
-    assert bands() <= -(-size // xipoly._BAND) + 1
 
 
 @pytest.mark.parametrize("i", [3, 64, 65])
@@ -584,3 +610,29 @@ def test_the_top_tower_steps_keep_their_bands(bands):
         start = bands()
         unitize(p, 256)
         assert bands() - start == opened + 1
+
+
+def test_no_tower_step_or_zeta_cell_has_falling_weights(monkeypatch):
+    # every band opens at its row's own weight; a rule for weights that fall
+    # from the first row to the last would have no traffic in the towers
+    # (their weights climb about two a row) or the zeta cells (one row each)
+    calls = []
+    walk = xipoly.unitize
+
+    def spy(p, i):
+        calls.append((p, i))
+        return walk(p, i)
+
+    monkeypatch.setattr(xipoly, "unitize", spy)
+    phi_poly.cache_clear()
+    phi_poly(9)
+    xipoly.phi_poly_direct(9)
+    for cell in ((64, 0), (128, 11), (256, 427)):
+        zeta(*cell)
+    # phi_3 walks lambda_3 .. lambda_5 and phi_4 .. phi_9 take a step each;
+    # the direct route walks lambda_3 .. lambda_11
+    assert len(calls) == 3 + 6 + 9 + 3
+    for p, i in calls:
+        terms = p.terms()
+        (first, c_first), (last, c_last) = terms[0], terms[-1]
+        assert weight(i, p.low, last, c_last) >= weight(i, p.low, first, c_first), (i, p.low)
